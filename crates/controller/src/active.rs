@@ -74,6 +74,15 @@ impl ActiveSet {
         Some(request)
     }
 
+    /// Empties the set, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        for request in self.slots.drain(..).flatten() {
+            self.index[request.id().as_usize()] = NO_SLOT;
+        }
+        self.free.clear();
+        self.len = 0;
+    }
+
     fn slot(&self, id: RequestId) -> Option<usize> {
         match self.index.get(id.as_usize()).copied() {
             Some(slot) if slot != NO_SLOT => Some(slot as usize),
@@ -85,14 +94,14 @@ impl ActiveSet {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// The live requests in ascending id order — the canonical checkpoint
-    /// shape. Rebuilding a set by [`insert`](Self::insert)ing these is
+    /// The live requests in ascending id order, written into `out` — the
+    /// canonical checkpoint shape. Rebuilding a set by [`insert`](Self::insert)ing these is
     /// logically equal to the original (slot layout is not part of the
     /// set's logical state; every read goes through the id table).
-    pub(crate) fn export(&self) -> Vec<Request> {
-        let mut requests: Vec<Request> = self.iter().cloned().collect();
-        requests.sort_unstable_by_key(Request::id);
-        requests
+    pub(crate) fn export_into(&self, out: &mut Vec<Request>) {
+        out.clear();
+        out.extend(self.iter().cloned());
+        out.sort_unstable_by_key(Request::id);
     }
 }
 
@@ -141,7 +150,8 @@ mod tests {
             set.insert(request(id));
         }
         set.remove(RequestId::new(9));
-        let exported = set.export();
+        let mut exported = Vec::new();
+        set.export_into(&mut exported);
         let ids: Vec<u32> = exported.iter().map(|r| r.id().index()).collect();
         assert_eq!(ids, vec![1, 3, 7]);
         let mut rebuilt = ActiveSet::default();

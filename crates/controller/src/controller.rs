@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 use crate::active::ActiveSet;
 use crate::retry::RetryQueue;
-use crate::snapshot::{ControllerSnapshot, SnapshotError};
+use crate::snapshot::{ControllerMark, ControllerSnapshot, LiveState, SnapshotError};
 use crate::{
     ControllerConfig, ControllerError, ControllerReport, ControllerState, RejectReason, ShedPolicy,
 };
@@ -96,7 +96,7 @@ pub enum EventOutcome {
 }
 
 #[derive(Debug, Clone, Default, PartialEq)]
-struct Counters {
+pub(crate) struct Counters {
     admitted: u64,
     rejected: u64,
     departed: u64,
@@ -427,6 +427,23 @@ impl Controller {
         self.clock
     }
 
+    /// Writes the live state in checkpoint shape (see [`LiveState`]) into
+    /// `live`, reusing its buffers; shared by both checkpoint forms.
+    fn live_into(&self, live: &mut LiveState) {
+        live.clock = self.clock;
+        live.latency_integral = self.latency_integral;
+        live.current_latency = self.current_latency;
+        self.state.export_into(&mut live.slabs);
+        self.active.export_into(&mut live.active);
+        live.retry_seq = self.retry.export_into(&mut live.retry_entries);
+        live.cluster = self.cluster.as_ref().map(|cluster| {
+            (
+                cluster.assignment.iter().map(|node| node.index()).collect(),
+                cluster.node_down.clone(),
+            )
+        });
+    }
+
     /// Captures the controller's full dynamic state as a
     /// [`ControllerSnapshot`]. Applied back with
     /// [`restore`](Self::restore) — onto this controller or any other
@@ -435,46 +452,103 @@ impl Controller {
     /// outcome, journal record and report the original would have.
     #[must_use]
     pub fn checkpoint(&self) -> ControllerSnapshot {
-        let (retry_seq, retry_entries) = self.retry.export();
+        let mut live = LiveState::default();
+        self.live_into(&mut live);
         ControllerSnapshot {
-            clock: self.clock,
-            latency_integral: self.latency_integral,
-            current_latency: self.current_latency,
+            live,
             counters: self.counters.to_pairs(),
             latency_samples: self.latency_samples.as_slice().to_vec(),
             utilization_samples: self.utilization_samples.as_slice().to_vec(),
             reports: self.snapshots.clone(),
-            slabs: self.state.export(),
-            active: self.active.export(),
-            retry_seq,
-            retry_entries,
-            cluster: self.cluster.as_ref().map(|cluster| {
-                (
-                    cluster.assignment.iter().map(|node| node.index()).collect(),
-                    cluster.node_down.clone(),
-                )
-            }),
         }
+    }
+
+    /// Marks the controller's position for a later
+    /// [`rewind`](Self::rewind): the live state and counters by value and
+    /// one length per history stream, so the cost follows the live
+    /// request count, not the run's length. The history streams are
+    /// append-only, which is what lets a rewind truncate them instead of
+    /// copying them back.
+    #[must_use]
+    pub fn mark(&self) -> ControllerMark {
+        let mut mark = ControllerMark {
+            live: LiveState::default(),
+            counters: Counters::default(),
+            latency_samples: 0,
+            utilization_samples: 0,
+            reports: 0,
+        };
+        self.mark_into(&mut mark);
+        mark
+    }
+
+    /// [`mark`](Self::mark) into an existing mark, reusing its buffers —
+    /// for callers that re-mark the same controller over and over.
+    pub fn mark_into(&self, mark: &mut ControllerMark) {
+        self.live_into(&mut mark.live);
+        mark.counters.clone_from(&self.counters);
+        mark.latency_samples = self.latency_samples.len();
+        mark.utilization_samples = self.utilization_samples.len();
+        mark.reports = self.snapshots.len();
     }
 
     /// Overwrites this controller's dynamic state from a snapshot taken
     /// against the same scenario and config (crash recovery: build a
     /// fresh controller, restore the last checkpoint, replay the events
-    /// since).
+    /// since). All-or-nothing: a refused snapshot leaves the controller
+    /// untouched.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Mismatch`] when the snapshot does not fit this
     /// controller — different VNF shape, cluster presence or size, a
     /// counter schema from another build, or out-of-domain member data.
-    /// The controller may be partially overwritten on error and must be
-    /// discarded (restore into a freshly built controller to make the
-    /// operation all-or-nothing).
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) -> Result<(), SnapshotError> {
+        let counters = Counters::from_pairs(&snapshot.counters).ok_or(SnapshotError::Mismatch {
+            reason: "counter schema differs from this build",
+        })?;
+        self.apply_live(&snapshot.live, counters)?;
+        self.latency_samples = snapshot.latency_samples.iter().copied().collect();
+        self.utilization_samples = snapshot.utilization_samples.iter().copied().collect();
+        self.snapshots.clone_from(&snapshot.reports);
+        Ok(())
+    }
+
+    /// Rewinds the controller to a [`mark`](Self::mark) taken earlier in
+    /// this run: the live state is overwritten and every history stream
+    /// truncated back to its watermark (the sample sets' sorted caches
+    /// and the ledger's cached sums are invalidated or recomputed), so
+    /// the controller is bit-identical to the moment of the mark —
+    /// `checkpoint().to_jsonl()` included. All-or-nothing, like
+    /// [`restore`](Self::restore).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] when the mark cannot be this
+    /// controller's: a shape mismatch, or a watermark past the end of a
+    /// history stream.
+    pub fn rewind(&mut self, mark: &ControllerMark) -> Result<(), SnapshotError> {
+        if mark.latency_samples > self.latency_samples.len()
+            || mark.utilization_samples > self.utilization_samples.len()
+            || mark.reports > self.snapshots.len()
+        {
+            return Err(SnapshotError::Mismatch {
+                reason: "mark is ahead of this controller's history",
+            });
+        }
+        self.apply_live(&mark.live, mark.counters.clone())?;
+        self.latency_samples.truncate(mark.latency_samples);
+        self.utilization_samples.truncate(mark.utilization_samples);
+        self.snapshots.truncate(mark.reports);
+        Ok(())
+    }
+
+    /// Overwrites the live state and counters after checking that `live`
+    /// fits this controller; nothing is written unless every check
+    /// passes.
+    fn apply_live(&mut self, live: &LiveState, counters: Counters) -> Result<(), SnapshotError> {
         let mismatch = |reason| SnapshotError::Mismatch { reason };
-        let counters = Counters::from_pairs(&snapshot.counters)
-            .ok_or(mismatch("counter schema differs from this build"))?;
-        match (self.cluster.as_mut(), snapshot.cluster.as_ref()) {
+        match (self.cluster.as_ref(), live.cluster.as_ref()) {
             (None, None) => {}
             (Some(cluster), Some((assignment, node_down))) => {
                 if assignment.len() != cluster.assignment.len() {
@@ -483,30 +557,29 @@ impl Controller {
                 if node_down.len() != cluster.node_down.len() {
                     return Err(mismatch("cluster node count differs"));
                 }
-                cluster.assignment = assignment.iter().map(|&raw| NodeId::new(raw)).collect();
-                cluster.node_down.clone_from(node_down);
             }
             _ => return Err(mismatch("cluster presence differs")),
         }
-        self.state.import(&snapshot.slabs).map_err(mismatch)?;
-        let mut active = ActiveSet::default();
-        let mut prev: Option<RequestId> = None;
-        for request in &snapshot.active {
-            if prev.is_some_and(|p| p >= request.id()) {
-                return Err(mismatch("active requests are not strictly id-sorted"));
-            }
-            prev = Some(request.id());
-            active.insert(request.clone());
+        if live.active.windows(2).any(|w| w[0].id() >= w[1].id()) {
+            return Err(mismatch("active requests are not strictly id-sorted"));
         }
-        self.active = active;
+        // The last fallible step; the ledger validates before it writes.
+        self.state.import(&live.slabs).map_err(mismatch)?;
+        if let (Some(cluster), Some((assignment, node_down))) =
+            (self.cluster.as_mut(), live.cluster.as_ref())
+        {
+            cluster.assignment = assignment.iter().map(|&raw| NodeId::new(raw)).collect();
+            cluster.node_down.clone_from(node_down);
+        }
+        self.active.clear();
+        for request in &live.active {
+            self.active.insert(request.clone());
+        }
         self.counters = counters;
-        self.clock = snapshot.clock;
-        self.latency_integral = snapshot.latency_integral;
-        self.current_latency = snapshot.current_latency;
-        self.latency_samples = snapshot.latency_samples.iter().copied().collect();
-        self.utilization_samples = snapshot.utilization_samples.iter().copied().collect();
-        self.snapshots.clone_from(&snapshot.reports);
-        self.retry = RetryQueue::import(snapshot.retry_seq, snapshot.retry_entries.clone());
+        self.clock = live.clock;
+        self.latency_integral = live.latency_integral;
+        self.current_latency = live.current_latency;
+        self.retry.import(live.retry_seq, &live.retry_entries);
         Ok(())
     }
 

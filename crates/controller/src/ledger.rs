@@ -30,12 +30,27 @@ struct Member {
     inflated: f64,
 }
 
+impl Member {
+    /// Decodes an exported `(request id, rate, delivery)` triple.
+    fn from_export((id, rate, delivery): (u32, f64, f64)) -> Result<Self, &'static str> {
+        let rate = ArrivalRate::new(rate).map_err(|_| "snapshot member rate out of domain")?;
+        let delivery = DeliveryProbability::new(delivery)
+            .map_err(|_| "snapshot member delivery out of domain")?;
+        Ok(Self {
+            id: RequestId::new(id),
+            rate,
+            delivery,
+            inflated: rate.inflated_by_loss(delivery).value(),
+        })
+    }
+}
+
 /// One VNF's dynamic ledger state in checkpoint shape: outage depths,
 /// host flag, and per-instance member runs as raw `(request id, rate,
 /// delivery)` triples in id order. Produced by
 /// [`ControllerState::export`], consumed by [`ControllerState::import`];
 /// the snapshot serializer owns the JSON encoding of this shape.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SlabExport {
     /// The VNF's raw id (must match the scenario's VNF at this position).
     pub(crate) vnf: u32,
@@ -610,32 +625,35 @@ impl ControllerState {
         Ok(last)
     }
 
-    /// Exports the ledger's dynamic state for a checkpoint: one
-    /// [`SlabExport`] per VNF in id order, members in `(instance, id)`
-    /// order. `inflated` and the cached sums are *not* exported — they
-    /// are pure functions of the member runs and [`import`](Self::import)
-    /// recomputes them in the canonical id order, so the restored sums
-    /// are bit-identical by construction.
-    #[must_use]
-    pub(crate) fn export(&self) -> Vec<SlabExport> {
-        self.ids
-            .iter()
-            .zip(&self.slabs)
-            .map(|(id, slab)| SlabExport {
-                vnf: id.index(),
-                down: slab.down.clone(),
-                host_down: slab.host_down,
-                members: slab
-                    .members
-                    .iter()
-                    .map(|run| {
-                        run.iter()
-                            .map(|m| (m.id.index(), m.rate.value(), m.delivery.value()))
-                            .collect()
-                    })
-                    .collect(),
-            })
-            .collect()
+    /// Exports the ledger's dynamic state for a checkpoint into `out`,
+    /// reusing its buffers: one [`SlabExport`] per VNF in id order,
+    /// members in `(instance, id)` order. `inflated` and the cached sums
+    /// are *not* exported — they are pure functions of the member runs
+    /// and [`import`](Self::import) recomputes them in the canonical id
+    /// order, so the restored sums are bit-identical by construction.
+    pub(crate) fn export_into(&self, out: &mut Vec<SlabExport>) {
+        out.resize_with(self.slabs.len(), SlabExport::default);
+        for ((export, id), slab) in out.iter_mut().zip(&self.ids).zip(&self.slabs) {
+            export.vnf = id.index();
+            export.down.clone_from(&slab.down);
+            export.host_down = slab.host_down;
+            export.members.resize_with(slab.members.len(), Vec::new);
+            for (run, members) in export.members.iter_mut().zip(&slab.members) {
+                run.clear();
+                run.extend(
+                    members
+                        .iter()
+                        .map(|m| (m.id.index(), m.rate.value(), m.delivery.value())),
+                );
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn export(&self) -> Vec<SlabExport> {
+        let mut out = Vec::new();
+        self.export_into(&mut out);
+        out
     }
 
     /// Overwrites this ledger's dynamic state from an
@@ -648,45 +666,41 @@ impl ControllerState {
     ///
     /// A static `&str` reason when the export's shape does not match
     /// this ledger (wrong VNF count or ids, mismatched run lengths) or a
-    /// member carries an out-of-domain rate/probability; the ledger may
-    /// be partially overwritten and must be discarded in that case.
+    /// member carries an out-of-domain rate/probability. The whole export
+    /// is checked before anything is written, so a refused export leaves
+    /// the ledger unchanged.
     pub(crate) fn import(&mut self, slabs: &[SlabExport]) -> Result<(), &'static str> {
         if slabs.len() != self.ids.len() {
             return Err("snapshot VNF count does not match the scenario");
         }
-        for (export, (id, slab)) in slabs.iter().zip(self.ids.iter().zip(&mut self.slabs)) {
+        for (export, id) in slabs.iter().zip(&self.ids) {
             if export.vnf != id.index() {
                 return Err("snapshot VNF ids do not match the scenario");
             }
             if export.down.len() != export.members.len() || export.down.is_empty() {
                 return Err("snapshot instance vectors are inconsistent");
             }
+            for run in &export.members {
+                if run.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+                    return Err("snapshot member run is not id-sorted");
+                }
+                for &member in run {
+                    Member::from_export(member)?;
+                }
+            }
+        }
+        // Everything checked: the writes below cannot fail.
+        for (export, slab) in slabs.iter().zip(&mut self.slabs) {
             let m = export.down.len();
             slab.down.clone_from(&export.down);
             slab.host_down = export.host_down;
-            slab.members.clear();
-            slab.members.resize(m, Vec::new());
-            slab.sums.clear();
+            slab.members.resize_with(m, Vec::new);
             slab.sums.resize(m, 0.0);
-            slab.ext.clear();
             slab.ext.resize(m, 0.0);
             for (k, run) in export.members.iter().enumerate() {
-                let mut prev: Option<u32> = None;
-                for &(raw_id, raw_rate, raw_delivery) in run {
-                    if prev.is_some_and(|p| p >= raw_id) {
-                        return Err("snapshot member run is not id-sorted");
-                    }
-                    prev = Some(raw_id);
-                    let rate = ArrivalRate::new(raw_rate)
-                        .map_err(|_| "snapshot member rate out of domain")?;
-                    let delivery = DeliveryProbability::new(raw_delivery)
-                        .map_err(|_| "snapshot member delivery out of domain")?;
-                    slab.members[k].push(Member {
-                        id: RequestId::new(raw_id),
-                        rate,
-                        delivery,
-                        inflated: rate.inflated_by_loss(delivery).value(),
-                    });
+                slab.members[k].clear();
+                for &member in run {
+                    slab.members[k].push(Member::from_export(member)?);
                 }
                 slab.recompute(k);
             }

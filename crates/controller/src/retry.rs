@@ -141,31 +141,44 @@ impl RetryQueue {
         Some((f64::from_bits(bits), entry.attempt, entry.request))
     }
 
-    /// Exports the queue as `(next_seq, entries)` with entries in key
-    /// order as `(due_bits, entry_seq, attempt, request)` — the snapshot
-    /// shape. [`RetryQueue::import`] of this export rebuilds a queue with
-    /// bit-identical pop order and future key assignment.
-    pub(crate) fn export(&self) -> (u64, Vec<(u64, u64, u32, Request)>) {
-        let entries = self
-            .wheel
-            .entries_sorted()
-            .into_iter()
-            .map(|(&(bits, seq), entry)| (bits, seq, entry.attempt, entry.request.clone()))
-            .collect();
-        (self.seq, entries)
+    /// Exports the queue's entries into `out` in key order as
+    /// `(due_bits, entry_seq, attempt, request)` — the snapshot shape —
+    /// and returns the next sequence number. [`RetryQueue::import`] of
+    /// this export rebuilds a queue with bit-identical pop order and
+    /// future key assignment.
+    pub(crate) fn export_into(&self, out: &mut Vec<(u64, u64, u32, Request)>) -> u64 {
+        out.clear();
+        out.extend(
+            self.wheel
+                .entries_sorted()
+                .into_iter()
+                .map(|(&(bits, seq), entry)| (bits, seq, entry.attempt, entry.request.clone())),
+        );
+        self.seq
     }
 
-    /// Rebuilds a queue from an [`export`]: entries are re-inserted in
-    /// the given (key) order, preserving pop order bit-exactly, and the
-    /// sequence counter resumes where the exported queue left off.
+    #[cfg(test)]
+    fn export(&self) -> (u64, Vec<(u64, u64, u32, Request)>) {
+        let mut entries = Vec::new();
+        (self.export_into(&mut entries), entries)
+    }
+
+    /// Overwrites the queue with an [`export_into`] export, reusing its
+    /// buffers: entries are re-inserted in the given (key) order,
+    /// preserving pop order bit-exactly, and the sequence counter resumes
+    /// where the exported queue left off.
     ///
-    /// [`export`]: RetryQueue::export
-    pub(crate) fn import(seq: u64, entries: Vec<(u64, u64, u32, Request)>) -> Self {
-        let mut wheel = TimerWheel::default();
+    /// [`export_into`]: RetryQueue::export_into
+    pub(crate) fn import(&mut self, seq: u64, entries: &[(u64, u64, u32, Request)]) {
+        self.wheel.clear();
         for (bits, entry_seq, attempt, request) in entries {
-            wheel.insert((bits, entry_seq), Entry { attempt, request });
+            let entry = Entry {
+                attempt: *attempt,
+                request: request.clone(),
+            };
+            self.wheel.insert((*bits, *entry_seq), entry);
         }
-        Self { wheel, seq }
+        self.seq = seq;
     }
 
     /// Total loss-inflated rate of the queued requests whose chain
@@ -265,7 +278,8 @@ mod tests {
             let _ = q.schedule(&c, request(id), id % 3, f64::from(id) * 0.7);
         }
         let (seq, entries) = q.export();
-        let mut rebuilt = RetryQueue::import(seq, entries);
+        let mut rebuilt = RetryQueue::default();
+        rebuilt.import(seq, &entries);
         assert_eq!(rebuilt.export(), q.export());
         assert_eq!(rebuilt.len(), q.len());
         // Future scheduling continues from the same sequence counter and

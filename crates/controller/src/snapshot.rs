@@ -11,6 +11,13 @@
 //! produces the same outcome, journal record and report as the original
 //! would have.
 //!
+//! A [`ControllerMark`] is the in-memory form for rewinding a controller
+//! within a run: the same live state, but a length watermark per
+//! append-only history stream in place of a copy of the history. The
+//! snapshot stays the portable form and the differential oracle for the
+//! rewind: after a rewind, `checkpoint().to_jsonl()` equals the document
+//! taken at the mark.
+//!
 //! The serialized form is hand-rolled (the vendored `serde` is
 //! marker-only, matching `bench/report.rs`): a line-oriented document of
 //! flat JSON objects. Line 1 is a versioned header carrying the section
@@ -29,6 +36,7 @@ use std::fmt::Write as _;
 use nfv_model::{ArrivalRate, DeliveryProbability, Request, RequestId, ServiceChain, VnfId};
 use nfv_telemetry::json::{self, JsonObject, JsonValue};
 
+use crate::controller::Counters;
 use crate::ledger::SlabExport;
 use crate::ControllerReport;
 
@@ -78,31 +86,20 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// A point-in-time capture of a controller's dynamic state. Produced by
-/// [`Controller::checkpoint`], applied by [`Controller::restore`], and
-/// (de)serialized by [`to_jsonl`](Self::to_jsonl) /
-/// [`from_jsonl`](Self::from_jsonl).
-///
-/// [`Controller::checkpoint`]: crate::Controller::checkpoint
-/// [`Controller::restore`]: crate::Controller::restore
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControllerSnapshot {
+/// The live part of a controller's dynamic state — everything but the
+/// counters and the append-only history streams — in checkpoint shape:
+/// the clock and latency integrals, the ledger, the active set, the retry
+/// queue and the cluster assignment. Its size follows the live request
+/// count, never the run's length. Both checkpoint forms carry it: the
+/// portable [`ControllerSnapshot`] and the in-memory [`ControllerMark`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct LiveState {
     /// Virtual clock at capture time.
     pub(crate) clock: f64,
     /// `∫ L(t) dt` accumulated so far.
     pub(crate) latency_integral: f64,
     /// Predicted latency after the last handled event.
     pub(crate) current_latency: f64,
-    /// The counter block as `(name, value)` pairs in declaration order;
-    /// restore refuses a pair set that does not exactly match the
-    /// build's counter names (the versioning story for counters).
-    pub(crate) counters: Vec<(String, u64)>,
-    /// Latency samples in insertion order.
-    pub(crate) latency_samples: Vec<f64>,
-    /// Utilization samples in insertion order.
-    pub(crate) utilization_samples: Vec<f64>,
-    /// Archived per-tick report snapshots.
-    pub(crate) reports: Vec<ControllerReport>,
     /// The ledger's dynamic state per VNF.
     pub(crate) slabs: Vec<SlabExport>,
     /// Active requests in ascending id order.
@@ -115,6 +112,50 @@ pub struct ControllerSnapshot {
     /// Dynamic cluster state `(assignment node ids, node outage
     /// depths)`; `None` when the controller runs without a cluster.
     pub(crate) cluster: Option<(Vec<u32>, Vec<u32>)>,
+}
+
+/// A point-in-time capture of a controller's dynamic state. Produced by
+/// [`Controller::checkpoint`], applied by [`Controller::restore`], and
+/// (de)serialized by [`to_jsonl`](Self::to_jsonl) /
+/// [`from_jsonl`](Self::from_jsonl). Self-contained and portable: it
+/// restores into any controller built from the same scenario and config.
+///
+/// [`Controller::checkpoint`]: crate::Controller::checkpoint
+/// [`Controller::restore`]: crate::Controller::restore
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControllerSnapshot {
+    /// The live state.
+    pub(crate) live: LiveState,
+    /// The counter block as `(name, value)` pairs in declaration order;
+    /// restore refuses a pair set that does not exactly match the
+    /// build's counter names (the versioning story for counters).
+    pub(crate) counters: Vec<(String, u64)>,
+    /// Latency samples in insertion order.
+    pub(crate) latency_samples: Vec<f64>,
+    /// Utilization samples in insertion order.
+    pub(crate) utilization_samples: Vec<f64>,
+    /// Archived per-tick report snapshots.
+    pub(crate) reports: Vec<ControllerReport>,
+}
+
+/// An in-memory checkpoint for rewinding a controller within a run: the
+/// live state and counters by value plus one watermark (a length) per
+/// append-only history stream — latency samples, utilization samples,
+/// archived tick reports. Taken by [`Controller::mark`] at a cost that
+/// follows the live request count, applied by [`Controller::rewind`],
+/// which truncates the history back to the watermarks. It is not
+/// portable: it rewinds only the controller it was taken from, later in
+/// the same run (use [`ControllerSnapshot`] to move state elsewhere).
+///
+/// [`Controller::mark`]: crate::Controller::mark
+/// [`Controller::rewind`]: crate::Controller::rewind
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControllerMark {
+    pub(crate) live: LiveState,
+    pub(crate) counters: Counters,
+    pub(crate) latency_samples: usize,
+    pub(crate) utilization_samples: usize,
+    pub(crate) reports: usize,
 }
 
 impl ControllerSnapshot {
@@ -130,17 +171,17 @@ impl ControllerSnapshot {
         let mut header = JsonObject::new();
         header
             .field_u64("snapshot_version", u64::from(SNAPSHOT_VERSION))
-            .field_f64("clock", self.clock)
-            .field_f64("latency_integral", self.latency_integral)
-            .field_f64("current_latency", self.current_latency)
-            .field_u64("retry_seq", self.retry_seq)
+            .field_f64("clock", self.live.clock)
+            .field_f64("latency_integral", self.live.latency_integral)
+            .field_f64("current_latency", self.live.current_latency)
+            .field_u64("retry_seq", self.live.retry_seq)
             .field_u64("latency_samples", self.latency_samples.len() as u64)
             .field_u64("utilization_samples", self.utilization_samples.len() as u64)
             .field_u64("reports", self.reports.len() as u64)
-            .field_u64("slabs", self.slabs.len() as u64)
-            .field_u64("active", self.active.len() as u64)
-            .field_u64("retry_entries", self.retry_entries.len() as u64)
-            .field_u64("cluster", u64::from(self.cluster.is_some()));
+            .field_u64("slabs", self.live.slabs.len() as u64)
+            .field_u64("active", self.live.active.len() as u64)
+            .field_u64("retry_entries", self.live.retry_entries.len() as u64)
+            .field_u64("cluster", u64::from(self.live.cluster.is_some()));
         push(header.finish());
 
         let mut counters = JsonObject::new();
@@ -159,7 +200,7 @@ impl ControllerSnapshot {
         for report in &self.reports {
             push(report.to_json());
         }
-        for slab in &self.slabs {
+        for slab in &self.live.slabs {
             let mut obj = JsonObject::new();
             obj.field_u64("vnf", u64::from(slab.vnf))
                 .field_u64("host_down", u64::from(slab.host_down))
@@ -167,13 +208,13 @@ impl ControllerSnapshot {
                 .field_str("members", &member_runs(&slab.members));
             push(obj.finish());
         }
-        for request in &self.active {
+        for request in &self.live.active {
             push(request_line(request, None));
         }
-        for (due_bits, seq, attempt, request) in &self.retry_entries {
+        for (due_bits, seq, attempt, request) in &self.live.retry_entries {
             push(request_line(request, Some((*due_bits, *seq, *attempt))));
         }
-        if let Some((assignment, node_down)) = &self.cluster {
+        if let Some((assignment, node_down)) = &self.live.cluster {
             let mut obj = JsonObject::new();
             obj.field_str("assignment", &u32_list(assignment))
                 .field_str("node_down", &u32_list(node_down));
@@ -367,18 +408,20 @@ impl ControllerSnapshot {
         }
 
         Ok(Self {
-            clock,
-            latency_integral,
-            current_latency,
+            live: LiveState {
+                clock,
+                latency_integral,
+                current_latency,
+                slabs,
+                active,
+                retry_seq,
+                retry_entries,
+                cluster,
+            },
             counters,
             latency_samples,
             utilization_samples,
             reports,
-            slabs,
-            active,
-            retry_seq,
-            retry_entries,
-            cluster,
         })
     }
 }
@@ -554,9 +597,29 @@ mod tests {
             )
         };
         ControllerSnapshot {
-            clock: 12.75,
-            latency_integral: 1.0 / 3.0,
-            current_latency: 0.125,
+            live: LiveState {
+                clock: 12.75,
+                latency_integral: 1.0 / 3.0,
+                current_latency: 0.125,
+                slabs: vec![
+                    SlabExport {
+                        vnf: 0,
+                        down: vec![0, 2],
+                        host_down: false,
+                        members: vec![vec![(1, 1.1, 0.97), (4, 2.3, 1.0)], vec![]],
+                    },
+                    SlabExport {
+                        vnf: 2,
+                        down: vec![0],
+                        host_down: true,
+                        members: vec![vec![(1, 1.1, 0.97)]],
+                    },
+                ],
+                active: vec![request(1), request(4)],
+                retry_seq: 9,
+                retry_entries: vec![(3.5f64.to_bits(), 2, 1, request(6))],
+                cluster: Some((vec![0, 1, 0], vec![0, 3, 0])),
+            },
             counters: vec![("admitted".into(), 7), ("rejected".into(), 2)],
             latency_samples: vec![0.1, 1.0 / 7.0, 3e-9],
             utilization_samples: vec![0.5],
@@ -592,24 +655,6 @@ mod tests {
                 current_latency: 0.25,
                 peak_utilization: 0.5,
             }],
-            slabs: vec![
-                SlabExport {
-                    vnf: 0,
-                    down: vec![0, 2],
-                    host_down: false,
-                    members: vec![vec![(1, 1.1, 0.97), (4, 2.3, 1.0)], vec![]],
-                },
-                SlabExport {
-                    vnf: 2,
-                    down: vec![0],
-                    host_down: true,
-                    members: vec![vec![(1, 1.1, 0.97)]],
-                },
-            ],
-            active: vec![request(1), request(4)],
-            retry_seq: 9,
-            retry_entries: vec![(3.5f64.to_bits(), 2, 1, request(6))],
-            cluster: Some((vec![0, 1, 0], vec![0, 3, 0])),
         }
     }
 
@@ -633,8 +678,8 @@ mod tests {
     #[test]
     fn cluster_free_snapshot_round_trips() {
         let mut snapshot = sample_snapshot();
-        snapshot.cluster = None;
-        snapshot.retry_entries.clear();
+        snapshot.live.cluster = None;
+        snapshot.live.retry_entries.clear();
         let decoded = ControllerSnapshot::from_jsonl(&snapshot.to_jsonl()).unwrap();
         assert_eq!(decoded, snapshot);
     }

@@ -123,6 +123,18 @@ impl<T> TimerWheel<T> {
         (due / RESOLUTION) as u64
     }
 
+    /// Empties the wheel back to its initial state, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        if self.in_levels > 0 {
+            self.levels.iter_mut().flatten().for_each(Vec::clear);
+        }
+        self.ready.clear();
+        self.overflow.clear();
+        self.current = 0;
+        self.in_levels = 0;
+        self.len = 0;
+    }
+
     /// Inserts an entry under its oracle key. The caller guarantees
     /// `key.0` encodes a finite, non-negative due time.
     pub(crate) fn insert(&mut self, key: (u64, u64), value: T) {
@@ -247,6 +259,10 @@ impl<T> TimerWheel<T> {
     /// order into a fresh wheel reproduces the pop order bit-exactly
     /// (the snapshot/restore path relies on this).
     pub(crate) fn entries_sorted(&self) -> Vec<(&(u64, u64), &T)> {
+        if self.len == 0 {
+            // Skip the walk over every (empty) slot of every level.
+            return Vec::new();
+        }
         let mut all: Vec<(&(u64, u64), &T)> = Vec::with_capacity(self.len);
         all.extend(self.ready.iter());
         all.extend(self.overflow.iter());

@@ -10,7 +10,9 @@
 //! asserted on [`Controller::state`], [`Controller::report`], per-event
 //! [`EventOutcome`]s, and continued runs past retry due times.
 
-use nfv_controller::{Controller, ControllerConfig, ControllerSnapshot, RetryConfig};
+use nfv_controller::{
+    Controller, ControllerConfig, ControllerSnapshot, RetryConfig, SnapshotError,
+};
 use nfv_model::{
     ArrivalRate, Capacity, ComputeNode, DeliveryProbability, NodeId, Request, RequestId,
     ServiceChain, VnfId,
@@ -174,6 +176,62 @@ fn empty_checkpoint_restores_to_a_fresh_controller() {
     assert_split_equivalence(original, restored, trace.events(), 0, trace.horizon());
 }
 
+/// A refused restore is all-or-nothing: neither a corrupt document (a
+/// foreign VNF id in the last ledger slab, behind an edited cluster
+/// assignment) nor another controller's snapshot changes a single byte
+/// of the controller's own checkpoint.
+#[test]
+fn refused_restores_leave_the_controller_untouched() {
+    let s = scenario(17);
+    let trace = ChurnTraceBuilder::new()
+        .horizon(60.0)
+        .arrival_rate(0.6)
+        .tick_period(10.0)
+        .seed(7)
+        .build(&s)
+        .unwrap();
+    let (nodes, placement) = cluster(&s, 3);
+    let mut controller =
+        Controller::with_cluster(&s, nodes, &placement, ControllerConfig::resilient()).unwrap();
+    let events = trace.events();
+    for event in &events[..events.len() / 2] {
+        controller.handle(event);
+    }
+    let text = controller.checkpoint().to_jsonl();
+    for event in &events[events.len() / 2..] {
+        controller.handle(event);
+    }
+    let before = controller.checkpoint().to_jsonl();
+
+    let last_slab = text.lines().rfind(|l| l.starts_with("{\"vnf\":")).unwrap();
+    let cluster_line = text.lines().next_back().unwrap();
+    // Move every VNF to the next node, so a cluster overwrite would show.
+    let (assignment, rest) = cluster_line
+        .strip_prefix("{\"assignment\":\"")
+        .and_then(|l| l.split_once('"'))
+        .unwrap();
+    let moved: Vec<String> = assignment
+        .split(' ')
+        .map(|node| ((node.parse::<u32>().unwrap() + 1) % 3).to_string())
+        .collect();
+    let corrupt = text
+        .replace(last_slab, &last_slab.replacen("{\"vnf\":", "{\"vnf\":9", 1))
+        .replace(
+            cluster_line,
+            &format!("{{\"assignment\":\"{}\"{rest}", moved.join(" ")),
+        );
+    let corrupt = ControllerSnapshot::from_jsonl(&corrupt).unwrap();
+    assert!(matches!(
+        controller.restore(&corrupt),
+        Err(SnapshotError::Mismatch { .. })
+    ));
+    assert_eq!(controller.checkpoint().to_jsonl(), before);
+
+    let foreign = Controller::new(&s, ControllerConfig::resilient()).checkpoint();
+    assert!(controller.restore(&foreign).is_err());
+    assert_eq!(controller.checkpoint().to_jsonl(), before);
+}
+
 mod random_histories {
     use super::*;
     use proptest::prelude::*;
@@ -282,6 +340,66 @@ mod random_histories {
                 restored.state().balanced_latency().to_bits(),
                 original.state().balanced_latency().to_bits()
             );
+        }
+
+        /// The differential oracle for `mark`/`rewind`: mark at a random
+        /// split, run a different random history past it (twice, rewinding
+        /// after each), and the rewound controller's `checkpoint()` must
+        /// serialize exactly like the one taken at the mark — history
+        /// streams included — and every later outcome must match a
+        /// controller that never ran past the mark.
+        #[test]
+        fn rewind_to_a_mark_is_indistinguishable_from_never_leaving_it(
+            packed in prop::collection::vec(0u64..u64::MAX, 1..120),
+            detour in prop::collection::vec(0u64..u64::MAX, 1..60),
+            split_sel in 0u64..u64::MAX,
+        ) {
+            let s = scenario(29);
+            let config = ControllerConfig {
+                retry: Some(RetryConfig::bounded()),
+                ..ControllerConfig::periodic_reopt()
+            };
+            let vnf_count = s.vnfs().len() as u32;
+            let decode = |words: &[u64], mut time: f64, next_id: &mut u32| {
+                words
+                    .iter()
+                    .map(|&w| {
+                        time += ((w >> 48) & 0xFF) as f64 * 0.125;
+                        TimedEvent::new(time, decode_event(w, vnf_count, next_id))
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let mut next_id = 0u32;
+            let events = decode(&packed, 0.0, &mut next_id);
+            let split = (split_sel % (events.len() as u64 + 1)) as usize;
+
+            let mut subject = Controller::new(&s, config);
+            let mut reference = Controller::new(&s, config);
+            for event in &events[..split] {
+                subject.handle(event);
+                reference.handle(event);
+            }
+            let at_mark = subject.checkpoint().to_jsonl();
+            let mark = subject.mark();
+            for _ in 0..2 {
+                // Fresh ids so detour arrivals are admitted, not refused
+                // as duplicates of the main history.
+                let mut detour_ids = next_id + 10_000;
+                for event in &decode(&detour, subject.clock(), &mut detour_ids) {
+                    subject.handle(event);
+                }
+                subject.rewind(&mark).unwrap();
+                prop_assert_eq!(&subject.checkpoint().to_jsonl(), &at_mark);
+            }
+            for event in &events[split..] {
+                let want = reference.handle(event);
+                let got = subject.handle(event);
+                prop_assert_eq!(got, want);
+            }
+            let end = events.last().map_or(0.0, TimedEvent::time) + 500.0;
+            reference.finish(end);
+            subject.finish(end);
+            prop_assert_eq!(subject.checkpoint().to_jsonl(), reference.checkpoint().to_jsonl());
         }
     }
 }

@@ -38,18 +38,21 @@
 //! [`run_with_faults`] drives the same loop under an [`FaultPlan`] of
 //! injected control-plane faults. At the start of every faulted epoch
 //! each installed tenant is checkpointed ([`TenantSlot`] →
-//! [`SlotCheckpoint`]: controller snapshot + telemetry cursor +
-//! processed count) and every event pumped during the epoch is recorded
-//! in a per-tenant replay log. A worker panic mid-drain is contained by
-//! a supervised drain ([`nfv_parallel::catch_task`]); the poisoned shard
-//! is restored from its checkpoints and caught up by replaying its logs.
+//! [`SlotCheckpoint`]: the controller's live state with watermarks into
+//! its append-only history, a matching telemetry mark, and the processed
+//! count — never a copy of the history) and every event pumped during
+//! the epoch is recorded in a per-tenant replay log. A worker panic
+//! mid-drain is contained by a supervised drain
+//! ([`nfv_parallel::catch_task`]); the poisoned shard is restored from
+//! its checkpoints and caught up by replaying its logs.
 //! Channel drops/duplicates, tenant crashes, and injected conservation
 //! corruption are repaired at the epoch boundary the same way — restore
 //! plus full-epoch replay — so a recoverable faulted run produces a
 //! **byte-identical** merged journal, fleet report, and epoch records to
 //! the undisturbed run. A tenant whose checkpoint is itself corrupt is
-//! retired through the quarantine path (its checkpoint-time counters
-//! frozen into the totals, [`FleetError`]-free); a wedged drain
+//! retired through the quarantine path (the slot rewound to its
+//! checkpoint one last time, its counters frozen into the totals and its
+//! own journal kept, [`FleetError`]-free); a wedged drain
 //! surfaces as a typed [`FleetError::PumpStalled`]. Recovery telemetry
 //! (`CheckpointTaken`/`FaultInjected`/`ShardRestored`/
 //! `TenantQuarantined`) goes to a separate chaos journal so the tenant
@@ -67,7 +70,7 @@ use nfv_metrics::Histogram;
 use nfv_parallel::{catch_task, default_threads, derive_seed, par_map_indexed, TaskPanic};
 use nfv_telemetry::{
     EventKind, Phase, PhaseProfile, Postmortem, Registry, SpanTree, Stopwatch, Telemetry,
-    TelemetryArtifacts, TelemetrySnapshot, TickSeries, FLIGHT_RECORDER_WINDOW,
+    TelemetryArtifacts, TickSeries, FLIGHT_RECORDER_WINDOW,
 };
 use nfv_workload::churn::{ChurnStream, ChurnTraceBuilder, TimedEvent};
 use nfv_workload::tenancy::tenant_seed;
@@ -75,7 +78,7 @@ use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy, TenantId, Workl
 
 pub use channel::EventChannel;
 pub use handoff::{HandoffLayer, MigrationRecord};
-pub use shard::{Shard, SlotCheckpoint, TenantSlot};
+pub use shard::{RestoreError, Shard, SlotCheckpoint, TenantSlot};
 
 // Re-exported so fleet callers can build fault plans without a separate
 // `nfv-chaos` dependency.
@@ -111,10 +114,12 @@ pub enum FleetError {
     },
     /// A checkpoint restore failed during crash recovery.
     RestoreFailed {
-        /// The tenant whose snapshot did not restore.
+        /// The tenant whose checkpoint did not restore.
         tenant: TenantId,
         /// The epoch the recovery ran in.
         epoch: u64,
+        /// Why the slot refused it.
+        reason: RestoreError,
     },
     /// The handoff layer chose a tenant the source shard no longer owns —
     /// the ownership view desynced from the shard (e.g. a concurrent
@@ -139,9 +144,14 @@ impl std::fmt::Display for FleetError {
             Self::PumpStalled { tenant, epoch } => {
                 write!(f, "pump stalled on {tenant} in epoch {epoch}")
             }
-            Self::RestoreFailed { tenant, epoch } => {
-                write!(f, "checkpoint restore failed for {tenant} in epoch {epoch}")
-            }
+            Self::RestoreFailed {
+                tenant,
+                epoch,
+                reason,
+            } => write!(
+                f,
+                "checkpoint restore failed for {tenant} in epoch {epoch}: {reason}"
+            ),
             Self::HandoffDesynced { tenant, shard } => {
                 write!(f, "handoff desynced: shard {shard} does not own {tenant}")
             }
@@ -761,7 +771,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     };
     let mut recovery = RecoveryReport::default();
     let mut quarantines: Vec<QuarantineRecord> = Vec::new();
-    let mut quarantined_telemetry: Vec<TelemetrySnapshot> = Vec::new();
+    let mut quarantined_telemetry: Vec<Telemetry> = Vec::new();
     let mut checkpoints: Vec<Option<SlotCheckpoint>> = (0..spec.tenants).map(|_| None).collect();
     let mut logs: Vec<Vec<TimedEvent>> = (0..spec.tenants).map(|_| Vec::new()).collect();
     let mut epoch_pumped: Vec<u64> = vec![0; spec.tenants];
@@ -830,7 +840,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 let tenants = shard.tenants() as u64;
                 for slot in shard.slots_mut() {
                     let t = slot.tenant().as_usize();
-                    checkpoints[t] = Some(slot.checkpoint());
+                    slot.checkpoint(&mut checkpoints[t]);
                     recovery.checkpoints += 1;
                     if wedge[t] {
                         slot.set_wedged(true);
@@ -959,10 +969,11 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                                     continue;
                                 };
                                 let before = slot.processed();
-                                slot.restore(checkpoint).map_err(|_| {
+                                slot.restore(checkpoint).map_err(|reason| {
                                     FleetError::RestoreFailed {
                                         tenant: slot.tenant(),
                                         epoch,
+                                        reason,
                                     }
                                 })?;
                                 replayed += slot.replay(&logs[t]);
@@ -1099,9 +1110,10 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                     }
                     let before = slot.processed();
                     slot.restore(checkpoint)
-                        .map_err(|_| FleetError::RestoreFailed {
+                        .map_err(|reason| FleetError::RestoreFailed {
                             tenant: slot.tenant(),
                             epoch,
+                            reason,
                         })?;
                     replayed += slot.replay(&logs[t]);
                     delta += slot.processed() as i64 - before as i64;
@@ -1118,35 +1130,43 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 }
                 let quarantine_watch = obs.then(Stopwatch::start);
                 for (tenant, cause) in to_quarantine {
-                    let slot = shard.retire(tenant);
-                    debug_assert!(slot.is_some(), "quarantined tenant was installed");
-                    drop(slot);
                     let t = tenant.as_usize();
-                    let Some(checkpoint) = checkpoints[t].take() else {
+                    let (Some(slot), Some(checkpoint)) =
+                        (shard.retire(tenant), checkpoints[t].take())
+                    else {
                         continue;
                     };
+                    // The retired slot, rewound to its checkpoint, is the
+                    // frozen state: its counters and its own journal.
+                    let (report, telemetry) =
+                        slot.freeze(&checkpoint)
+                            .map_err(|reason| FleetError::RestoreFailed {
+                                tenant,
+                                epoch,
+                                reason,
+                            })?;
                     recovery.tenants_quarantined += 1;
                     chaos_tel.emit(epoch_end, epoch, || EventKind::TenantQuarantined {
                         tenant: u64::from(tenant.as_u32()),
                         cause: cause.into(),
                     });
-                    // Flight-recorder dump: the checkpoint's journal tail
-                    // and counters, frozen at the moment of quarantine.
+                    // Flight-recorder dump: the frozen journal's tail and
+                    // counters.
                     if obs {
                         postmortems.push(Postmortem::new(
                             u64::from(tenant.as_u32()),
                             epoch,
                             cause,
-                            checkpoint.telemetry.recent_events(FLIGHT_RECORDER_WINDOW),
-                            checkpoint.report.counters(),
+                            telemetry.recent_events(FLIGHT_RECORDER_WINDOW),
+                            report.counters(),
                         ));
                     }
-                    quarantined_telemetry.push(checkpoint.telemetry);
+                    quarantined_telemetry.push(telemetry);
                     quarantines.push(QuarantineRecord {
                         tenant,
                         epoch,
                         cause,
-                        report: checkpoint.report,
+                        report,
                     });
                 }
                 if let Some(watch) = quarantine_watch {
@@ -1267,9 +1287,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     };
     for (quarantine, telemetry) in quarantines.iter().zip(quarantined_telemetry) {
         tenant_reports.push((quarantine.tenant, quarantine.report.clone()));
-        let mut session = Telemetry::disabled();
-        session.restore(&telemetry);
-        let artifacts = session.finish();
+        let artifacts = telemetry.finish();
         if obs {
             accumulate_counters(&mut quarantine_counters, &quarantine.report);
             tenant_latency.push(observe_tenant(

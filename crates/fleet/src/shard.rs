@@ -7,29 +7,60 @@
 //! `nfv-parallel` pool (results folded in shard-id order) is bit-identical
 //! to running them serially.
 
-use nfv_controller::{Controller, ControllerReport, ControllerSnapshot, SnapshotError};
-use nfv_telemetry::{Telemetry, TelemetryArtifacts, TelemetrySnapshot};
+use nfv_controller::{Controller, ControllerMark, ControllerReport, SnapshotError};
+use nfv_telemetry::{Telemetry, TelemetryArtifacts};
 use nfv_workload::churn::TimedEvent;
 use nfv_workload::TenantId;
 
 use crate::channel::EventChannel;
 
-/// An epoch-boundary checkpoint of one tenant slot: the controller
-/// snapshot, the telemetry cursor, the counter report at capture time,
-/// and the processed-event count. Restoring a slot from its checkpoint
-/// and replaying the epoch's pumped events reproduces the undisturbed
-/// slot bit for bit.
+/// An epoch-boundary checkpoint of one tenant slot: the controller's
+/// live state plus history watermarks ([`ControllerMark`]) and the
+/// processed-event count; the slot's telemetry session holds its own
+/// matching mark. Its cost follows the tenant's live requests, not the
+/// length of its history. Rewinding a slot to its checkpoint and
+/// replaying the epoch's pumped events reproduces the undisturbed slot
+/// bit for bit.
 #[derive(Debug, Clone)]
 pub struct SlotCheckpoint {
     pub(crate) tenant: TenantId,
-    pub(crate) controller: ControllerSnapshot,
-    pub(crate) telemetry: TelemetrySnapshot,
-    pub(crate) report: ControllerReport,
+    pub(crate) controller: ControllerMark,
     pub(crate) processed: u64,
     /// Cleared by an injected checkpoint corruption: an invalid
     /// checkpoint cannot restore, forcing the quarantine path.
     pub(crate) valid: bool,
 }
+
+/// Why a slot could not be rewound to a checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum RestoreError {
+    /// The checkpoint was taken from another tenant's slot.
+    WrongTenant {
+        /// The tenant that owns the slot.
+        slot: TenantId,
+        /// The tenant the checkpoint belongs to.
+        checkpoint: TenantId,
+    },
+    /// The controller refused its mark.
+    Controller(SnapshotError),
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::WrongTenant { slot, checkpoint } => {
+                write!(
+                    f,
+                    "checkpoint of {checkpoint} applied to the slot of {slot}"
+                )
+            }
+            Self::Controller(err) => write!(f, "{err}"),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
 
 /// One tenant living inside a shard: its controller, its event channel,
 /// its telemetry session, and its cumulative processed-event count.
@@ -129,37 +160,69 @@ impl TenantSlot {
         self.wedged = wedged;
     }
 
-    /// Captures the slot's full recoverable state.
-    pub(crate) fn checkpoint(&self) -> SlotCheckpoint {
-        SlotCheckpoint {
-            tenant: self.tenant,
-            controller: self.controller.checkpoint(),
-            telemetry: self.telemetry.snapshot(),
-            report: self.controller.report(),
-            processed: self.processed,
-            valid: true,
+    /// Checkpoints the slot into `checkpoint`: marks the controller and
+    /// the telemetry session in place, copying only live state, and
+    /// reuses the buffers of the checkpoint it replaces.
+    pub(crate) fn checkpoint(&mut self, checkpoint: &mut Option<SlotCheckpoint>) {
+        self.telemetry.mark();
+        match checkpoint {
+            Some(taken) => {
+                taken.tenant = self.tenant;
+                self.controller.mark_into(&mut taken.controller);
+                taken.processed = self.processed;
+                taken.valid = true;
+            }
+            None => {
+                *checkpoint = Some(SlotCheckpoint {
+                    tenant: self.tenant,
+                    controller: self.controller.mark(),
+                    processed: self.processed,
+                    valid: true,
+                });
+            }
         }
     }
 
-    /// Rewinds the slot to a checkpoint: controller, telemetry, and
-    /// processed count restored; the channel cleared (its events are in
-    /// the epoch's replay log); the wedge lifted.
+    /// Rewinds the slot to a checkpoint: controller and telemetry back to
+    /// their marks, the processed count restored, the channel cleared
+    /// (its events are in the epoch's replay log), the wedge lifted.
+    /// All-or-nothing: on error the slot is unchanged.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] if the controller snapshot does not fit this
-    /// controller (it always fits a checkpoint taken from the same slot).
-    pub(crate) fn restore(&mut self, checkpoint: &SlotCheckpoint) -> Result<(), SnapshotError> {
-        debug_assert_eq!(
-            checkpoint.tenant, self.tenant,
-            "checkpoints restore into the slot they were taken from"
-        );
-        self.controller.restore(&checkpoint.controller)?;
-        self.telemetry.restore(&checkpoint.telemetry);
+    /// [`RestoreError::WrongTenant`] for another slot's checkpoint;
+    /// [`RestoreError::Controller`] if the controller refuses the mark
+    /// (it always accepts one taken from the same slot).
+    pub(crate) fn restore(&mut self, checkpoint: &SlotCheckpoint) -> Result<(), RestoreError> {
+        if checkpoint.tenant != self.tenant {
+            return Err(RestoreError::WrongTenant {
+                slot: self.tenant,
+                checkpoint: checkpoint.tenant,
+            });
+        }
+        self.controller
+            .rewind(&checkpoint.controller)
+            .map_err(RestoreError::Controller)?;
+        self.telemetry.rewind();
         self.processed = checkpoint.processed;
         self.wedged = false;
         while self.channel.pop().is_some() {}
         Ok(())
+    }
+
+    /// Retires the slot through the quarantine path: rewinds it to
+    /// `checkpoint` and returns its frozen counters and its telemetry
+    /// session, journal cut at the checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore).
+    pub(crate) fn freeze(
+        mut self,
+        checkpoint: &SlotCheckpoint,
+    ) -> Result<(ControllerReport, Telemetry), RestoreError> {
+        self.restore(checkpoint)?;
+        Ok((self.controller.report(), self.telemetry))
     }
 
     /// Replays logged events straight into the controller (bypassing the
@@ -338,6 +401,36 @@ mod tests {
         assert!(shard.retire(TenantId::new(2)).is_some());
         assert!(shard.retire(TenantId::new(2)).is_none());
         assert_eq!(shard.tenants(), 2);
+    }
+
+    #[test]
+    fn restore_refuses_another_tenants_checkpoint() {
+        let scenario = ScenarioBuilder::new()
+            .vnfs(2)
+            .requests(4)
+            .seed(5)
+            .build()
+            .unwrap();
+        let slot = |t: u32| {
+            TenantSlot::new(
+                TenantId::new(t),
+                Controller::new(&scenario, ControllerConfig::online_only()),
+                EventChannel::new(4),
+                Telemetry::enabled(),
+            )
+        };
+        let (mut a, mut b) = (slot(0), slot(1));
+        let mut checkpoint = None;
+        a.checkpoint(&mut checkpoint);
+        let checkpoint = checkpoint.unwrap();
+        assert_eq!(
+            b.restore(&checkpoint),
+            Err(RestoreError::WrongTenant {
+                slot: TenantId::new(1),
+                checkpoint: TenantId::new(0),
+            })
+        );
+        assert_eq!(a.restore(&checkpoint), Ok(()));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! faults degrade gracefully and typed: quarantine for a corrupt
 //! checkpoint, `PumpStalled` for a wedged drain.
 
+use nfv_controller::Controller;
 use nfv_fleet::{
     run, run_with_faults, FaultKind, FaultPlan, FaultRates, FleetError, FleetOutcome, FleetSpec,
 };
-use nfv_workload::TenantId;
+use nfv_parallel::derive_seed;
+use nfv_telemetry::{EventKind, Telemetry, TraceEvent, FLIGHT_RECORDER_WINDOW};
+use nfv_workload::churn::ChurnTraceBuilder;
+use nfv_workload::tenancy::tenant_seed;
+use nfv_workload::{ScenarioBuilder, ServiceRatePolicy, TenantId};
 
 fn spec() -> FleetSpec {
     FleetSpec {
@@ -35,6 +40,47 @@ fn assert_byte_identical(faulted: &FleetOutcome, baseline: &FleetOutcome) {
         baseline.artifacts.journal_jsonl(),
         "merged journal not byte-identical"
     );
+}
+
+/// Tenant `t`'s journal in the undisturbed run, rebuilt standalone the
+/// way the fleet builds the tenant (scenario, lazy stream, controller,
+/// journal) and cut after the events at or before `until` — the horizon
+/// close included only when `until` reaches the horizon.
+fn tenant_journal(spec: &FleetSpec, t: u32, until: f64) -> Vec<TraceEvent> {
+    let scenario = ScenarioBuilder::new()
+        .vnfs(spec.vnfs)
+        .requests(spec.requests)
+        .service_rate_policy(ServiceRatePolicy::ScaledToLoad {
+            target_utilization: spec.target_utilization,
+        })
+        .seed(tenant_seed(spec.seed, TenantId::new(t)))
+        .build()
+        .unwrap();
+    let stream = ChurnTraceBuilder::new()
+        .horizon(spec.horizon)
+        .arrival_rate(spec.arrival_rate)
+        .mean_holding(spec.mean_holding)
+        .tick_period(spec.tick_period)
+        .seed(derive_seed(spec.seed, u64::from(t)))
+        .stream(&scenario)
+        .unwrap();
+    let mut controller = Controller::new(&scenario, spec.controller);
+    let mut telemetry = Telemetry::enabled();
+    for event in stream.take_while(|e| e.time() <= until) {
+        controller.handle_owned_traced(event, &mut telemetry);
+    }
+    if until >= spec.horizon {
+        controller.finish_traced(spec.horizon, &mut telemetry);
+    }
+    telemetry.finish().events
+}
+
+/// A journal without its sequence numbers, which merging re-assigns.
+fn unsequenced(events: &[TraceEvent]) -> Vec<(u64, u64, EventKind)> {
+    events
+        .iter()
+        .map(|e| (e.time.to_bits(), e.tick, e.kind.clone()))
+        .collect()
 }
 
 #[test]
@@ -150,6 +196,32 @@ fn corrupt_checkpoint_quarantines_the_tenant_and_conserves() {
         .iter()
         .any(|(t, r)| *t == TenantId::new(1) && *r == quarantine.report));
     assert!(!outcome.chaos_artifacts.journal_jsonl().is_empty());
+
+    // The frozen journal is the undisturbed one cut at the faulted
+    // epoch's start. The standalone rebuild is the undisturbed run's own
+    // tenant journal (a contiguous block of the merged journal) ...
+    let whole = unsequenced(&tenant_journal(&spec, 1, f64::INFINITY));
+    let undisturbed = unsequenced(&run(&spec).unwrap().artifacts.events);
+    assert!(
+        undisturbed
+            .windows(whole.len())
+            .any(|w| w == whole.as_slice()),
+        "the standalone rebuild matches the fleet's tenant journal"
+    );
+    // ... whose prefix is what the quarantine appended (last, after every
+    // live shard) and what the flight recorder kept the tail of.
+    let start = spec.epoch * quarantine.epoch as f64;
+    let prefix = tenant_journal(&spec, 1, start);
+    assert!(!prefix.is_empty() && prefix.len() < whole.len());
+    let merged = unsequenced(&outcome.artifacts.events);
+    assert_eq!(
+        merged[merged.len() - prefix.len()..],
+        unsequenced(&prefix)[..],
+        "appended journal is the undisturbed prefix"
+    );
+    let window = &prefix[prefix.len().saturating_sub(FLIGHT_RECORDER_WINDOW)..];
+    assert_eq!(outcome.postmortems.len(), 1);
+    assert_eq!(outcome.postmortems[0].events, window, "postmortem window");
 }
 
 #[test]

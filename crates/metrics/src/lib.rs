@@ -33,7 +33,7 @@ mod table;
 pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use samples::SampleSet;
-pub use summary::Summary;
+pub use summary::{Summary, SummaryMark};
 pub use table::Table;
 
 /// Relative improvement of `candidate` over `baseline` for a

@@ -120,6 +120,17 @@ impl SampleSet {
         }
     }
 
+    /// Drops every sample past the first `len` — the rewind of an
+    /// append-only stream to a watermark taken with [`len`](Self::len).
+    /// The sorted cache is invalidated; a `len` at or past the current
+    /// length changes nothing.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.samples.len() {
+            self.samples.truncate(len);
+            self.sorted = None;
+        }
+    }
+
     /// The retained samples in insertion order.
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {

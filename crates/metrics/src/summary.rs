@@ -119,6 +119,25 @@ impl Summary {
         self.samples.batch_means_ci(batches)
     }
 
+    /// The summary's watermark: its streaming moments by value plus the
+    /// retained-sample count. [`rewind`](Self::rewind) restores exactly
+    /// this state after further pushes, at O(1) cost instead of a copy
+    /// of the samples.
+    #[must_use]
+    pub fn mark(&self) -> SummaryMark {
+        SummaryMark {
+            stats: self.stats,
+            len: self.samples.len(),
+        }
+    }
+
+    /// Rewinds to a [`mark`](Self::mark) taken on this summary, dropping
+    /// every observation pushed since.
+    pub fn rewind(&mut self, mark: &SummaryMark) {
+        self.stats = mark.stats;
+        self.samples.truncate(mark.len);
+    }
+
     /// Merges another summary into this one: streaming moments via the
     /// parallel Welford combination ([`OnlineStats::merge`]), retained
     /// samples by in-order append ([`SampleSet::merge`]).
@@ -126,6 +145,13 @@ impl Summary {
         self.stats.merge(&other.stats);
         self.samples.merge(&other.samples);
     }
+}
+
+/// A [`Summary`]'s position, taken by [`Summary::mark`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SummaryMark {
+    stats: OnlineStats,
+    len: usize,
 }
 
 impl Extend<f64> for Summary {
@@ -163,6 +189,21 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rewind_restores_the_marked_summary_bit_for_bit() {
+        let mut s: Summary = [5.0, 1.0, 3.0].into_iter().collect();
+        let reference = s.clone();
+        let mark = s.mark();
+        assert_eq!(s.percentile(0.5), 3.0);
+        s.extend([100.0, -7.0]);
+        assert_eq!(s.percentile(0.5), 3.0);
+        s.rewind(&mark);
+        assert_eq!(s, reference);
+        assert_eq!(s.mean().to_bits(), reference.mean().to_bits());
+        assert_eq!(s.max(), Some(5.0), "the sorted cache was invalidated");
+        assert_eq!(s.percentile(1.0), 5.0);
+    }
 
     #[test]
     fn moments_and_quantiles_agree_on_count() {

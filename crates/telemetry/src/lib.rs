@@ -61,6 +61,7 @@ mod export;
 pub mod json;
 mod recorder;
 mod registry;
+mod ring;
 mod series;
 mod sink;
 mod span;
@@ -70,6 +71,7 @@ pub use event::{EventKind, ReoptPhase, TraceEvent, CSV_HEADER};
 pub use export::{escape_label, unescape_label};
 pub use recorder::{Postmortem, FLIGHT_RECORDER_WINDOW};
 pub use registry::{Registry, RegistryError};
+pub use ring::Ring;
 pub use series::{TickSample, TickSeries, SERIES_CSV_HEADER};
 pub use sink::{
     csv_journal_rows, parse_jsonl_journal, CsvSink, EventSink, JournalError, JsonlSink, RingSink,
@@ -77,6 +79,9 @@ pub use sink::{
 };
 pub use span::{Phase, PhaseProfile, SpanToken, Stopwatch};
 pub use trace::{SpanId, SpanTree};
+
+use nfv_metrics::{Summary, SummaryMark};
+use ring::RingMark;
 
 /// Everything a telemetry session collected, returned by
 /// [`Telemetry::finish`].
@@ -149,46 +154,21 @@ struct Inner {
     extra: Vec<Box<dyn EventSink>>,
     profile: PhaseProfile,
     series: TickSeries,
+    /// Where [`Telemetry::rewind`] returns to.
+    mark: Mark,
 }
 
-/// A point-in-time copy of a telemetry session's collected state,
-/// produced by [`Telemetry::snapshot`] and reapplied by
-/// [`Telemetry::restore`].
-///
-/// The snapshot captures the journal ring (events plus drop counter),
-/// the sequence counter, the timing profile, and the tick series — the
-/// full determinism-relevant state. Extra sinks ([`Telemetry::add_sink`])
-/// are streaming side-channels and are *not* captured; restoring a
-/// session drops any sinks attached after the snapshot was taken.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetrySnapshot {
-    inner: Option<(u64, RingSink, PhaseProfile, TickSeries)>,
-}
-
-impl TelemetrySnapshot {
-    /// The most recent `limit` journal events captured in the snapshot,
-    /// oldest first — the flight recorder reads its post-mortem window
-    /// through this. Empty for a disabled session's snapshot.
-    #[must_use]
-    pub fn recent_events(&self, limit: usize) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |(_, ring, _, _)| {
-                let skip = ring.len().saturating_sub(limit);
-                ring.events().skip(skip).cloned().collect()
-            })
-    }
-
-    /// The tick series captured in the snapshot, if the session was
-    /// enabled.
-    #[must_use]
-    pub fn series(&self) -> Option<&TickSeries> {
-        self.inner.as_ref().map(|(_, _, _, series)| series)
-    }
+/// The sequence counter plus one watermark per history stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    seq: u64,
+    journal: RingMark,
+    series: RingMark,
+    profile: [SummaryMark; Phase::ALL.len()],
 }
 
 /// A telemetry session handle, threaded by `&mut` through the
-/// controller's event loop; [`Telemetry::snapshot`]/[`Telemetry::restore`]
+/// controller's event loop; [`Telemetry::mark`]/[`Telemetry::rewind`]
 /// rewind a session for checkpoint-based crash recovery. See the crate
 /// docs for the determinism contract.
 pub struct Telemetry {
@@ -218,15 +198,18 @@ impl Telemetry {
     /// and `max_samples` tick samples in memory.
     #[must_use]
     pub fn with_capacity(max_events: usize, max_samples: usize) -> Self {
-        Self {
+        let mut tel = Self {
             inner: Some(Box::new(Inner {
                 seq: 0,
                 ring: RingSink::new(max_events),
                 extra: Vec::new(),
                 profile: PhaseProfile::new(),
                 series: TickSeries::new(max_samples),
+                mark: Mark::default(),
             })),
-        }
+        };
+        tel.mark();
+        tel
     }
 
     /// Whether this session records anything.
@@ -283,39 +266,49 @@ impl Telemetry {
         }
     }
 
-    /// Captures the session's collected state for later [`restore`].
-    /// Disabled sessions snapshot to (and restore from) the disabled
-    /// state. Extra sinks are not captured — see [`TelemetrySnapshot`].
+    /// Marks the session's position for a later [`rewind`] in O(1) — a
+    /// watermark per history stream, no copy — superseding the previous
+    /// mark (a new session starts marked at its empty state).
     ///
-    /// [`restore`]: Telemetry::restore
-    #[must_use]
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            inner: self.inner.as_ref().map(|inner| {
-                (
-                    inner.seq,
-                    inner.ring.clone(),
-                    inner.profile.clone(),
-                    inner.series.clone(),
-                )
-            }),
+    /// [`rewind`]: Telemetry::rewind
+    pub fn mark(&mut self) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.mark = Mark {
+                seq: inner.seq,
+                journal: inner.ring.mark(),
+                series: inner.series.mark(),
+                profile: inner.profile.durations.each_ref().map(Summary::mark),
+            };
         }
     }
 
-    /// Rewinds the session to a previously captured [`snapshot`],
-    /// discarding everything recorded since (and any extra sinks).
+    /// Rewinds the journal, tick series, phase profile and sequence
+    /// counter exactly to the latest [`mark`], items the bounded rings
+    /// evicted since included, so replaying the same calls reproduces the
+    /// session bit for bit. The mark stays for further rewinds. Extra
+    /// sinks are streaming side-channels and are not rewound.
     ///
-    /// [`snapshot`]: Telemetry::snapshot
-    pub fn restore(&mut self, snapshot: &TelemetrySnapshot) {
-        self.inner = snapshot.inner.as_ref().map(|(seq, ring, profile, series)| {
-            Box::new(Inner {
-                seq: *seq,
-                ring: ring.clone(),
-                extra: Vec::new(),
-                profile: profile.clone(),
-                series: series.clone(),
-            })
-        });
+    /// [`mark`]: Telemetry::mark
+    pub fn rewind(&mut self) {
+        if let Some(inner) = self.inner.as_mut() {
+            let mark = inner.mark;
+            inner.seq = mark.seq;
+            inner.ring.rewind(mark.journal);
+            inner.series.rewind(mark.series);
+            for (summary, mark) in inner.profile.durations.iter_mut().zip(&mark.profile) {
+                summary.rewind(mark);
+            }
+        }
+    }
+
+    /// The most recent `limit` journal events, oldest first — the flight
+    /// recorder's post-mortem window. Empty for a disabled session.
+    #[must_use]
+    pub fn recent_events(&self, limit: usize) -> Vec<TraceEvent> {
+        self.inner.as_ref().map_or_else(Vec::new, |inner| {
+            let skip = inner.ring.len().saturating_sub(limit);
+            inner.ring.events().skip(skip).cloned().collect()
+        })
     }
 
     /// Closes the session: flushes the extra sinks and returns the
@@ -434,52 +427,50 @@ mod tests {
         assert_eq!(merged.events[1].time, 2.0);
     }
 
-    #[test]
-    fn snapshot_restore_rewinds_to_bit_identical_artifacts() {
-        let mut tel = Telemetry::enabled();
-        tel.emit(1.0, 0, || EventKind::Admit {
-            request: RequestId::new(1),
+    fn admit(tel: &mut Telemetry, i: u32) {
+        tel.emit(f64::from(i), u64::from(i), || EventKind::Admit {
+            request: RequestId::new(i),
             hops: 1,
         });
-        let snap = tel.snapshot();
-        let mut reference = Telemetry::enabled();
-        reference.restore(&snap);
-        // Diverge, then rewind and replay the same tail on both.
-        tel.emit(9.0, 1, || EventKind::Admit {
-            request: RequestId::new(9),
-            hops: 3,
+        tel.sample_tick(|| TickSample {
+            tick: u64::from(i),
+            ..TickSample::default()
         });
-        tel.restore(&snap);
+    }
+
+    #[test]
+    fn rewind_past_ring_wraps_matches_a_session_that_stopped_at_the_mark() {
+        let mut tel = Telemetry::with_capacity(4, 2);
+        let mut reference = Telemetry::with_capacity(4, 2);
+        for i in 0..6 {
+            admit(&mut tel, i);
+            admit(&mut reference, i);
+        }
+        tel.mark();
+        // Wrap both rings several times over between mark and rewind.
+        for i in 6..17 {
+            admit(&mut tel, i);
+        }
+        let token = tel.begin();
+        tel.end(Phase::RckkPlan, token);
+        tel.rewind();
+        assert_eq!(tel.recent_events(8), reference.recent_events(8));
+        // Replaying the same tail twice through the same mark stays exact.
         for session in [&mut tel, &mut reference] {
-            session.emit(2.0, 1, || EventKind::Admit {
-                request: RequestId::new(2),
-                hops: 2,
-            });
+            admit(session, 40);
         }
-        assert_eq!(tel.finish(), reference.finish());
-    }
-
-    #[test]
-    fn disabled_snapshot_restores_to_disabled() {
-        let tel = Telemetry::disabled();
-        let snap = tel.snapshot();
-        let mut target = Telemetry::enabled();
-        target.restore(&snap);
-        assert!(!target.is_enabled());
-    }
-
-    #[test]
-    fn ring_bound_counts_dropped_events() {
-        let mut tel = Telemetry::with_capacity(2, 2);
-        for i in 0..5u32 {
-            tel.emit(f64::from(i), 0, || EventKind::Admit {
-                request: RequestId::new(i),
-                hops: 1,
-            });
-        }
-        let artifacts = tel.finish();
-        assert_eq!(artifacts.events.len(), 2);
-        assert_eq!(artifacts.dropped_events, 3);
-        assert_eq!(artifacts.events[0].seq, 3, "most recent events survive");
+        tel.rewind();
+        admit(&mut tel, 40);
+        let (got, want) = (tel.finish(), reference.finish());
+        assert_eq!(got, want);
+        assert_eq!((got.events.len(), got.dropped_events), (4, 3));
+        assert_eq!(got.events[0].seq, 3, "the most recent events survive");
+        assert_eq!((got.series.len(), got.series.dropped()), (2, 5));
+        assert_eq!(got.profile.total_spans(), 0, "the span was rewound");
+        // A session never marked rewinds to its empty start.
+        let mut fresh = Telemetry::with_capacity(4, 2);
+        admit(&mut fresh, 1);
+        fresh.rewind();
+        assert_eq!(fresh.finish(), Telemetry::with_capacity(4, 2).finish());
     }
 }

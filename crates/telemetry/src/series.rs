@@ -1,14 +1,15 @@
 //! Bounded per-tick time-series sampling.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
+use crate::ring::Ring;
+
 /// One per-tick snapshot of the controller's load state — everything is
 /// derived from the deterministic ledger, so same-seed series are
 /// bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TickSample {
     /// Re-optimization ticks observed so far (1-based at the first tick).
     pub tick: u64,
@@ -59,58 +60,12 @@ impl TickSample {
 /// A bounded time-series of [`TickSample`]s: keeps the most recent
 /// `capacity` samples (dropping the oldest) so long sweeps cannot grow
 /// memory without bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TickSeries {
-    capacity: usize,
-    samples: VecDeque<TickSample>,
-    dropped: u64,
-}
+pub type TickSeries = Ring<TickSample>;
 
-impl TickSeries {
-    /// Creates a series holding at most `capacity` samples.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            samples: VecDeque::with_capacity(capacity.min(1024)),
-            dropped: 0,
-        }
-    }
-
-    /// Appends one sample, evicting the oldest when full.
-    pub fn push(&mut self, sample: TickSample) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(sample);
-    }
-
+impl Ring<TickSample> {
     /// Retained samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &TickSample> {
-        self.samples.iter()
-    }
-
-    /// Number of retained samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Samples evicted to honor the capacity bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.items.iter()
     }
 
     /// Appends another worker's series after this one (in-order merge:
@@ -118,7 +73,7 @@ impl TickSeries {
     /// series is identical at any thread count).
     pub fn merge(&mut self, other: &TickSeries) {
         self.dropped += other.dropped;
-        for sample in &other.samples {
+        for sample in other.samples() {
             self.push(*sample);
         }
     }
@@ -128,7 +83,7 @@ impl TickSeries {
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{SERIES_CSV_HEADER}");
-        for sample in &self.samples {
+        for sample in self.samples() {
             let _ = writeln!(out, "{}", sample.to_csv_row());
         }
         out
@@ -141,6 +96,9 @@ impl Default for TickSeries {
     }
 }
 
+impl Serialize for TickSeries {}
+impl<'de> Deserialize<'de> for TickSeries {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,12 +109,7 @@ mod tests {
             time: tick as f64 * 15.0,
             active: 10 + tick,
             instances: 8,
-            max_rho: 0.8,
-            mean_rho: 0.5,
-            balanced_latency: 0.01,
-            retry_backlog: 0,
-            nodes_in_service: 4,
-            nodes_total: 4,
+            ..TickSample::default()
         }
     }
 

@@ -1,10 +1,10 @@
 //! Pluggable journal sinks.
 
-use std::collections::VecDeque;
 use std::io::Write;
 
 use crate::event::{TraceEvent, CSV_HEADER};
 use crate::json::{get_u64, parse_object, JsonObject};
+use crate::ring::Ring;
 
 /// Schema version stamped at the top of every JSONL/CSV journal file.
 /// Bump it when the journal shape changes; the parse helpers reject
@@ -44,18 +44,6 @@ impl std::fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
-
-/// Renders the JSONL header line (`{"schema_version":N}`).
-fn jsonl_header() -> String {
-    let mut obj = JsonObject::new();
-    obj.field_u64("schema_version", u64::from(JOURNAL_SCHEMA_VERSION));
-    obj.finish()
-}
-
-/// The CSV header comment line (`# schema_version=N`).
-fn csv_version_line() -> String {
-    format!("# schema_version={JOURNAL_SCHEMA_VERSION}")
-}
 
 /// Parses a [`JsonlSink`]-written journal back into its events,
 /// verifying the schema-version header first.
@@ -124,181 +112,141 @@ pub trait EventSink: Send {
     fn flush(&mut self) {}
 }
 
-/// A bounded in-memory ring: keeps the most recent `capacity` events and
-/// counts the ones that fell off the front.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RingSink {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
+/// A bounded in-memory journal ring: keeps the most recent `capacity`
+/// events and counts the ones that fell off the front.
+pub type RingSink = Ring<TraceEvent>;
 
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            dropped: 0,
-        }
-    }
-
+impl Ring<TraceEvent> {
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted to honor the capacity bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.items.iter()
     }
 
     /// Consumes the ring into the retained events, oldest first.
     #[must_use]
     pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into()
+        self.items.into()
+    }
+}
+
+impl Default for RingSink {
+    fn default() -> Self {
+        Self::new(0)
     }
 }
 
 impl EventSink for RingSink {
     fn record(&mut self, event: &TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
+        self.push(event.clone());
+    }
+}
+
+/// The plumbing both file sinks share: a header written once before the
+/// first line, then one line per event. The first I/O error is latched
+/// and every later write skipped, so output is truncated, never torn
+/// mid-line.
+#[derive(Debug)]
+struct LineWriter<W> {
+    writer: W,
+    header: Option<String>,
+    failed: bool,
+}
+
+impl<W: Write> LineWriter<W> {
+    fn new(writer: W, header: String) -> Self {
+        Self {
+            writer,
+            header: Some(header),
+            failed: false,
         }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
+    }
+
+    fn write_line(&mut self, line: impl FnOnce() -> String) {
+        if let Some(header) = self.header.take() {
+            self.failed = self.writer.write_all(header.as_bytes()).is_err();
         }
-        self.events.push_back(event.clone());
+        if !self.failed {
+            let mut line = line();
+            line.push('\n');
+            self.failed = self.writer.write_all(line.as_bytes()).is_err();
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.failed {
+            self.failed = self.writer.flush().is_err();
+        }
     }
 }
 
 /// Writes a `{"schema_version":N}` header line, then each event as one
 /// JSON line (`TraceEvent::to_json`).
 #[derive(Debug)]
-pub struct JsonlSink<W: Write + Send> {
-    writer: W,
-    wrote_header: bool,
-    failed: bool,
-}
+pub struct JsonlSink<W: Write + Send>(LineWriter<W>);
 
 impl<W: Write + Send> JsonlSink<W> {
     /// Wraps a writer; the schema-version header is emitted before the
     /// first event.
     pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            wrote_header: false,
-            failed: false,
-        }
+        let mut header = JsonObject::new();
+        header.field_u64("schema_version", u64::from(JOURNAL_SCHEMA_VERSION));
+        Self(LineWriter::new(writer, format!("{}\n", header.finish())))
     }
 
     /// Whether any write failed (output is then truncated, never torn
     /// mid-line).
     #[must_use]
     pub fn failed(&self) -> bool {
-        self.failed
+        self.0.failed
     }
 
     /// Unwraps the writer.
     pub fn into_inner(self) -> W {
-        self.writer
+        self.0.writer
     }
 }
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn record(&mut self, event: &TraceEvent) {
-        if self.failed {
-            return;
-        }
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let header = format!("{}\n", jsonl_header());
-            self.failed = self.writer.write_all(header.as_bytes()).is_err();
-            if self.failed {
-                return;
-            }
-        }
-        let mut line = event.to_json();
-        line.push('\n');
-        self.failed = self.writer.write_all(line.as_bytes()).is_err();
+        self.0.write_line(|| event.to_json());
     }
 
     fn flush(&mut self) {
-        if !self.failed {
-            self.failed = self.writer.flush().is_err();
-        }
+        self.0.flush();
     }
 }
 
 /// Writes the fixed-column CSV trace shape: a `# schema_version=N`
 /// comment line and `CSV_HEADER` once, then one row per event.
 #[derive(Debug)]
-pub struct CsvSink<W: Write + Send> {
-    writer: W,
-    wrote_header: bool,
-    failed: bool,
-}
+pub struct CsvSink<W: Write + Send>(LineWriter<W>);
 
 impl<W: Write + Send> CsvSink<W> {
     /// Wraps a writer; the header is emitted before the first row.
     pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            wrote_header: false,
-            failed: false,
-        }
+        let header = format!("# schema_version={JOURNAL_SCHEMA_VERSION}\n{CSV_HEADER}\n");
+        Self(LineWriter::new(writer, header))
     }
 
     /// Whether any write failed.
     #[must_use]
     pub fn failed(&self) -> bool {
-        self.failed
+        self.0.failed
     }
 
     /// Unwraps the writer.
     pub fn into_inner(self) -> W {
-        self.writer
+        self.0.writer
     }
 }
 
 impl<W: Write + Send> EventSink for CsvSink<W> {
     fn record(&mut self, event: &TraceEvent) {
-        if self.failed {
-            return;
-        }
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let header = format!("{}\n{CSV_HEADER}\n", csv_version_line());
-            self.failed = self.writer.write_all(header.as_bytes()).is_err();
-            if self.failed {
-                return;
-            }
-        }
-        let mut row = event.to_csv_row();
-        row.push('\n');
-        self.failed = self.writer.write_all(row.as_bytes()).is_err();
+        self.0.write_line(|| event.to_csv_row());
     }
 
     fn flush(&mut self) {
-        if !self.failed {
-            self.failed = self.writer.flush().is_err();
-        }
+        self.0.flush();
     }
 }
 

@@ -113,7 +113,7 @@ impl Stopwatch {
 /// [`Summary::merge`] path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseProfile {
-    durations: [Summary; Phase::ALL.len()],
+    pub(crate) durations: [Summary; Phase::ALL.len()],
 }
 
 impl Default for PhaseProfile {
