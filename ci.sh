@@ -126,6 +126,9 @@ cargo run -q --release -p nfv-bench --bin figures -- trace --csv results
 test -s results/trace_resilience.jsonl
 test -s results/trace_series.csv
 cargo run -q --release -p nfv-bench --bin figures -- profile
+# Two drain workers even where the host default is one, so the concurrent
+# drain lanes of the fleet span tree are checked too.
+cargo run -q --release -p nfv-bench --bin figures -- profile --threads 2
 cargo run -q --release -p nfv-bench --bin figures -- obs --csv results
 test -s results/registry.txt
 test -s results/registry.prom

@@ -1325,8 +1325,9 @@ fn timeline_line(event: &TraceEvent) -> Option<String> {
 /// one instrumented resilience comparison (all four policies, so every
 /// phase fires at least once), followed by the fleet's causal span tree
 /// at the `--tenants` point — run → epoch → phase attribution with a
-/// per-parent `(other)` residual, so every epoch's children sum exactly
-/// to its measured wall-clock time.
+/// per-parent `(other)` residual, so every epoch's serial phases plus its
+/// longest concurrent drain lane sum exactly to its measured wall-clock
+/// time.
 fn print_profile(out: &mut String, options: &Options) -> Result<(), CoreError> {
     let seed = options.seed;
     let point = resilience::ResiliencePoint::base();
@@ -1357,8 +1358,10 @@ fn print_profile(out: &mut String, options: &Options) -> Result<(), CoreError> {
     );
     let spans = &outcome.spans;
     let _ = write!(out, "{}", spans.render());
-    // Verify the attribution inline: per epoch, phase children plus the
-    // residual must reconstruct the measured epoch time.
+    // Verify the attribution inline: per epoch, the serial phases plus
+    // the longest drain lane plus the residual must reconstruct the
+    // measured epoch time. The residual is clamped at zero, so this fails
+    // whenever the covered children overrun their epoch.
     let mut worst = 0.0f64;
     let mut epochs = 0u64;
     for root in spans.roots() {
@@ -1367,19 +1370,14 @@ fn print_profile(out: &mut String, options: &Options) -> Result<(), CoreError> {
                 continue;
             }
             epochs += 1;
-            let attributed: f64 = spans
-                .children(epoch)
-                .iter()
-                .map(|&child| spans.seconds(child))
-                .sum::<f64>()
-                + spans.residual(epoch);
+            let attributed = spans.covered(epoch) + spans.residual(epoch);
             worst = worst.max((attributed - spans.seconds(epoch)).abs());
         }
     }
     let _ = writeln!(
         out,
-        "shape check: phase children + (other) reconstruct each of the {epochs} measured \
-         epoch times (worst absolute error {worst:.1e}s)"
+        "shape check: serial phases + longest drain lane + (other) reconstruct each of \
+         the {epochs} measured epoch times (worst absolute error {worst:.1e}s)"
     );
     if worst > 1e-6 {
         return Err(CoreError::Inconsistent {

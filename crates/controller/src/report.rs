@@ -81,6 +81,13 @@ pub struct ControllerReport {
 }
 
 impl ControllerReport {
+    /// Whether the admission conservation law holds: every admission,
+    /// first offer or retry, is still active, departed or shed.
+    #[must_use]
+    pub fn conserved(&self) -> bool {
+        self.admitted + self.retry_admitted == self.active + self.departed + self.shed
+    }
+
     /// Total migrations from all causes.
     #[must_use]
     pub fn migrated(&self) -> u64 {

@@ -16,15 +16,14 @@ use nfv_workload::churn::TimedEvent;
 
 /// A bounded FIFO of timed events for one tenant.
 #[derive(Debug)]
-pub struct EventChannel {
+pub(crate) struct EventChannel {
     buf: VecDeque<TimedEvent>,
     capacity: usize,
 }
 
 impl EventChannel {
     /// Creates a channel holding at most `capacity` events (min 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             buf: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
@@ -37,7 +36,7 @@ impl EventChannel {
     /// # Errors
     ///
     /// The rejected event itself, unmodified.
-    pub fn try_push(&mut self, event: TimedEvent) -> Result<(), TimedEvent> {
+    pub(crate) fn try_push(&mut self, event: TimedEvent) -> Result<(), TimedEvent> {
         if self.buf.len() >= self.capacity {
             return Err(event);
         }
@@ -46,31 +45,29 @@ impl EventChannel {
     }
 
     /// Dequeues the oldest event.
-    pub fn pop(&mut self) -> Option<TimedEvent> {
+    pub(crate) fn pop(&mut self) -> Option<TimedEvent> {
         self.buf.pop_front()
     }
 
     /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether the channel holds no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Whether the channel is at capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.buf.len() >= self.capacity
     }
 
     /// The configured bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.capacity
     }
 }

@@ -18,6 +18,8 @@
 //! and the migration cost is the state carried across the boundary: the
 //! tenant's active requests plus its pending retries.
 
+use std::cmp::Reverse;
+
 use nfv_controller::ControllerReport;
 use nfv_workload::TenantId;
 
@@ -56,98 +58,69 @@ struct Parked {
 /// The ownership layer: tracks the (at most one) tenant in transit and
 /// the completed migration history.
 #[derive(Debug, Default)]
-pub struct HandoffLayer {
+pub(crate) struct HandoffLayer {
     parked: Option<Parked>,
     records: Vec<MigrationRecord>,
 }
 
-/// Checks the admission conservation law on one tenant's counters.
-fn check_conservation(
-    tenant: TenantId,
-    phase: &'static str,
-    report: &ControllerReport,
-) -> Result<(), FleetError> {
-    if report.admitted + report.retry_admitted == report.active + report.departed + report.shed {
-        Ok(())
-    } else {
-        Err(FleetError::ConservationViolated { tenant, phase })
-    }
-}
-
 impl HandoffLayer {
     /// Whether no tenant is currently in transit.
-    #[must_use]
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.parked.is_none()
     }
 
     /// The parked tenant's counter snapshot, for fleet-wide totals while
     /// it is in transit.
-    #[must_use]
-    pub fn parked_report(&self) -> Option<&ControllerReport> {
+    pub(crate) fn parked_report(&self) -> Option<&ControllerReport> {
         self.parked.as_ref().map(|p| &p.snapshot)
     }
 
     /// Completed migrations, oldest first.
-    #[must_use]
-    pub fn records(&self) -> &[MigrationRecord] {
+    pub(crate) fn records(&self) -> &[MigrationRecord] {
         &self.records
     }
 
-    /// Phase 1 at the end of `epoch`: pick the most-loaded shard (by
-    /// cumulative events processed; lowest id on ties), the least-loaded
-    /// shard likewise, and move the source's busiest tenant into transit.
-    /// No-op (`Ok(false)`) when the fleet is already balanced, the source
-    /// holds a single tenant, or a tenant is already parked.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::ConservationViolated`] if the retiring tenant's
-    /// counters do not balance.
-    pub fn initiate(
+    /// Phase 1 at the end of `epoch`: moves the busiest tenant of the
+    /// most-loaded multi-tenant shard into transit toward the least-loaded
+    /// shard — unless the fleet is balanced or a tenant is already parked.
+    /// A retiring tenant whose counters do not balance is
+    /// [`FleetError::ConservationViolated`].
+    pub(crate) fn initiate(
         &mut self,
         shards: &mut [Shard],
         epoch: u64,
         epoch_len: f64,
-    ) -> Result<bool, FleetError> {
+    ) -> Result<(), FleetError> {
         if !self.idle() || shards.len() < 2 {
-            return Ok(false);
+            return Ok(());
         }
-        let busiest = |best: Option<usize>, (id, s): (usize, &Shard)| match best {
-            Some(b) if shards[b].processed() >= s.processed() => Some(b),
-            _ => Some(id),
-        };
+        // Most-loaded multi-tenant source and least-loaded target, by
+        // cumulative events processed, lowest id on ties.
         let from = shards
             .iter()
             .enumerate()
             .filter(|(_, s)| s.tenants() > 1)
-            .fold(None, busiest);
+            .min_by_key(|(id, s)| (Reverse(s.processed()), *id))
+            .map(|(id, _)| id);
         let Some(from) = from else {
-            return Ok(false);
+            return Ok(());
         };
         let to = shards
             .iter()
             .enumerate()
-            .map(|(id, s)| (s.processed(), id))
-            .min() // lowest processed, lowest id on ties
-            .map(|(_, id)| id)
-            .unwrap_or(from);
+            .min_by_key(|(id, s)| (s.processed(), *id))
+            .map_or(from, |(id, _)| id);
         if from == to || shards[from].processed() == shards[to].processed() {
-            return Ok(false);
+            return Ok(());
         }
         // Busiest tenant of the source shard, lowest id on ties (slots
-        // are tenant-id sorted, so the first maximum is the lowest id).
-        let tenant = {
-            let slots = shards[from].slots();
-            let mut best = slots[0].tenant();
-            let mut best_processed = slots[0].processed();
-            for slot in &slots[1..] {
-                if slot.processed() > best_processed {
-                    best = slot.tenant();
-                    best_processed = slot.processed();
-                }
-            }
-            best
+        // are tenant-id sorted).
+        let busiest = shards[from]
+            .slots()
+            .iter()
+            .min_by_key(|slot| Reverse(slot.processed()));
+        let Some(tenant) = busiest.map(TenantSlot::tenant) else {
+            return Ok(());
         };
         let Some(slot) = shards[from].retire(tenant) else {
             // The busiest tenant was just read off the source shard's
@@ -159,7 +132,12 @@ impl HandoffLayer {
             });
         };
         let snapshot = slot.report();
-        check_conservation(tenant, "retire", &snapshot)?;
+        if !snapshot.conserved() {
+            return Err(FleetError::ConservationViolated {
+                tenant,
+                phase: "retire",
+            });
+        }
         let record = MigrationRecord {
             tenant,
             from,
@@ -175,36 +153,32 @@ impl HandoffLayer {
             snapshot,
             record,
         });
-        Ok(true)
+        Ok(())
     }
 
-    /// Phase 2 at the start of `epoch`: if the parked tenant is due,
-    /// verify it crossed the boundary untouched and install it on its
-    /// target shard. Returns the tenant installed, if any.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::ConservationViolated`] if the counters moved while
-    /// parked or no longer balance.
-    pub fn install_due(
+    /// Phase 2 at the start of `epoch`: installs the parked tenant on its
+    /// target shard if it is due, after checking that its counters did not
+    /// move in transit and still balance ([`FleetError::ConservationViolated`]).
+    pub(crate) fn install_due(
         &mut self,
         shards: &mut [Shard],
         epoch: u64,
-    ) -> Result<Option<TenantId>, FleetError> {
+    ) -> Result<(), FleetError> {
         let Some(parked) = self.parked.take_if(|p| p.record.installed_epoch == epoch) else {
-            return Ok(None);
+            return Ok(());
         };
         let tenant = parked.record.tenant;
         let now = parked.slot.report();
-        if now != parked.snapshot {
-            return Err(FleetError::ConservationViolated {
-                tenant,
-                phase: "transit",
-            });
+        let broken = if now != parked.snapshot {
+            Some("transit")
+        } else {
+            (!now.conserved()).then_some("install")
+        };
+        if let Some(phase) = broken {
+            return Err(FleetError::ConservationViolated { tenant, phase });
         }
-        check_conservation(tenant, "install", &now)?;
         shards[parked.record.to].install(parked.slot);
         self.records.push(parked.record);
-        Ok(Some(tenant))
+        Ok(())
     }
 }

@@ -7,27 +7,26 @@
 //! crate multiplexes them without surrendering the repo's core contract:
 //! same seed, same results, **bit for bit, at any thread count**.
 //!
-//! The moving parts:
+//! Each tenant is an isolated world: its own seeded scenario, lazy churn
+//! stream, [`Controller`](nfv_controller::Controller) and bounded event
+//! channel. Shards own disjoint tenant sets. The virtual clock advances
+//! in fixed epochs, and every epoch runs the same named steps:
 //!
-//! - **Tenants** — each an isolated world: its own scenario, its own
-//!   lazy churn stream (seeded via
-//!   [`tenant_seed`](nfv_workload::tenancy::tenant_seed)), its own
-//!   [`Controller`](nfv_controller::Controller).
-//! - **Channels** ([`EventChannel`]) — bounded SPSC-style buffers between
-//!   the trace streams and the shards. The serial *pump* phase fills
-//!   them (shard order, tenant order, stalling on a full channel); the
-//!   parallel *drain* phase empties them. Backpressure is part of the
-//!   deterministic schedule, not an accident of timing.
-//! - **Shards** ([`Shard`]) — disjoint tenant sets drained concurrently
-//!   via `par_map_indexed`, results folded in shard-id order, so thread
-//!   count never changes an outcome.
-//! - **Epochs** — the virtual clock advances in fixed steps; every event
-//!   with `time ≤ boundary` is pumped and drained (possibly over several
-//!   backpressure rounds) before the fleet crosses the boundary.
-//! - **Handoff** ([`HandoffLayer`]) — every `rebalance_every` epochs the
-//!   busiest tenant of the most-loaded shard migrates to the
-//!   least-loaded shard as a two-phase retire/add with conservation
-//!   accounting (see the `handoff` module docs).
+//! 1. **install due** — a tenant handed off two epochs ago joins its
+//!    target shard (see the `handoff` module docs);
+//! 2. **checkpoint** (faulted epochs) — every installed tenant is
+//!    checkpointed: its controller's live state with watermarks into its
+//!    append-only history, never a copy of the history;
+//! 3. **pump and drain** — a serial pump moves events with
+//!    `time ≤ boundary` into the channels (shard order, tenant order,
+//!    stalling on a full channel), then a supervised parallel drain
+//!    empties them (`par_map_indexed`, results folded in shard-id order);
+//!    the two alternate until nothing is left;
+//! 4. **boundary sweep** (faulted epochs) — boundary faults are applied
+//!    and damaged tenants restored and replayed or quarantined;
+//! 5. **close** — the epoch's fleet totals are recorded and, every
+//!    `rebalance_every` epochs, the busiest tenant of the most-loaded
+//!    shard is retired toward the least-loaded one.
 //!
 //! Journals merge per shard in shard-id order
 //! ([`TelemetryArtifacts::merged`]), so the fleet journal is one
@@ -35,27 +34,18 @@
 //!
 //! # Chaos & recovery
 //!
-//! [`run_with_faults`] drives the same loop under an [`FaultPlan`] of
-//! injected control-plane faults. At the start of every faulted epoch
-//! each installed tenant is checkpointed ([`TenantSlot`] →
-//! [`SlotCheckpoint`]: the controller's live state with watermarks into
-//! its append-only history, a matching telemetry mark, and the processed
-//! count — never a copy of the history) and every event pumped during
-//! the epoch is recorded in a per-tenant replay log. A worker panic
-//! mid-drain is contained by a supervised drain
-//! ([`nfv_parallel::catch_task`]); the poisoned shard is restored from
-//! its checkpoints and caught up by replaying its logs.
-//! Channel drops/duplicates, tenant crashes, and injected conservation
-//! corruption are repaired at the epoch boundary the same way — restore
-//! plus full-epoch replay — so a recoverable faulted run produces a
-//! **byte-identical** merged journal, fleet report, and epoch records to
-//! the undisturbed run. A tenant whose checkpoint is itself corrupt is
-//! retired through the quarantine path (the slot rewound to its
-//! checkpoint one last time, its counters frozen into the totals and its
-//! own journal kept, [`FleetError`]-free); a wedged drain
-//! surfaces as a typed [`FleetError::PumpStalled`]. Recovery telemetry
-//! (`CheckpointTaken`/`FaultInjected`/`ShardRestored`/
-//! `TenantQuarantined`) goes to a separate chaos journal so the tenant
+//! [`run_with_faults`] drives the same loop under a [`FaultPlan`]. A
+//! faulted epoch logs every pumped event per tenant. An injected worker
+//! panic mid-drain is contained ([`nfv_parallel::catch_task`]) and its
+//! shard restored from its checkpoints and caught up from the logs;
+//! channel drops/duplicates, tenant crashes and conservation corruption
+//! are repaired the same way at the boundary, so a recoverable faulted
+//! run is **byte-identical** to the undisturbed one. A tenant whose
+//! checkpoint is corrupt is quarantined (its counters frozen into the
+//! totals, its own journal kept); a wedged drain surfaces as
+//! [`FleetError::PumpStalled`]. A worker panic the plan did not inject is
+//! a bug, not a fault: it aborts the run with [`FleetError::Pool`].
+//! Recovery telemetry goes to a separate chaos journal so the tenant
 //! journal keeps its byte-identity.
 
 #![forbid(unsafe_code)]
@@ -63,22 +53,20 @@
 
 mod channel;
 mod handoff;
+mod recorder;
+mod run;
 mod shard;
 
-use nfv_controller::{Controller, ControllerConfig, ControllerReport};
-use nfv_metrics::Histogram;
-use nfv_parallel::{catch_task, default_threads, derive_seed, par_map_indexed, TaskPanic};
-use nfv_telemetry::{
-    EventKind, Phase, PhaseProfile, Postmortem, Registry, SpanTree, Stopwatch, Telemetry,
-    TelemetryArtifacts, TickSeries, FLIGHT_RECORDER_WINDOW,
-};
-use nfv_workload::churn::{ChurnStream, ChurnTraceBuilder, TimedEvent};
+use nfv_controller::{ControllerConfig, ControllerReport};
+use nfv_parallel::TaskPanic;
+use nfv_telemetry::{Postmortem, Registry, SpanTree, TelemetryArtifacts};
 use nfv_workload::tenancy::tenant_seed;
 use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy, TenantId, WorkloadError};
 
-pub use channel::EventChannel;
-pub use handoff::{HandoffLayer, MigrationRecord};
-pub use shard::{RestoreError, Shard, SlotCheckpoint, TenantSlot};
+use run::FleetRun;
+
+pub use handoff::MigrationRecord;
+pub use shard::RestoreError;
 
 // Re-exported so fleet callers can build fault plans without a separate
 // `nfv-chaos` dependency.
@@ -438,10 +426,10 @@ pub struct FleetOutcome {
     /// tenant journal stays byte-identical under recoverable faults.
     pub chaos_artifacts: TelemetryArtifacts,
     /// The causal span tree of the run's wall-clock: fleet run → epoch →
-    /// {pump, drain(shard), handoff, checkpoint, restore, quarantine},
-    /// plus per-shard controller phase attribution. Structure is
-    /// deterministic; durations are wall-clock. Empty with observability
-    /// disabled.
+    /// serial {handoff, checkpoint, pump, restore, quarantine} plus one
+    /// concurrent `drain shard N` lane per shard, and per-shard controller
+    /// phase attribution. Structure is deterministic; durations are
+    /// wall-clock. Empty with observability disabled.
     pub spans: SpanTree,
     /// The deterministic metrics registry, merged in shard-id order
     /// (quarantined tenants last). Byte-identical dumps at any thread
@@ -452,225 +440,21 @@ pub struct FleetOutcome {
     pub postmortems: Vec<Postmortem>,
 }
 
-/// Fixed shape of the per-tenant latency histograms (`lo`, `hi`, bins).
-const LATENCY_HISTOGRAM: (f64, f64, usize) = (0.0, 0.1, 20);
-/// Fixed shape of the per-shard retry-backlog histograms.
-const BACKLOG_HISTOGRAM: (f64, f64, usize) = (0.0, 32.0, 16);
-
-/// Accumulates one tenant's controller counters into a positional
-/// aggregate, so the registry sees one `controller_*_total` write per
-/// counter per *shard* instead of per tenant (the per-tenant version
-/// cost 26 map lookups + string allocations per tenant, which dominated
-/// the plane's overhead at 256 tenants). The counter list has a fixed
-/// order, so positions line up across reports.
-fn accumulate_counters(totals: &mut Vec<(&'static str, u64)>, report: &ControllerReport) {
-    if totals.is_empty() {
-        *totals = report.counters();
-        return;
-    }
-    for (slot, (name, value)) in totals.iter_mut().zip(report.counters()) {
-        debug_assert_eq!(slot.0, name, "counter order is fixed");
-        slot.1 += value;
-    }
-}
-
-/// Flushes a [`accumulate_counters`] aggregate into a registry slice.
-fn flush_counters(registry: &mut Registry, totals: &[(&'static str, u64)]) {
-    for (name, value) in totals {
-        registry.counter_add(format!("controller_{name}_total"), *value);
-    }
-}
-
-/// An empty histogram of one of the fixed shapes above. The shapes are
-/// valid compile-time constants, so this never returns `None` in
-/// practice; the `Option` just keeps the crate's zero panic-site budget.
-fn fixed_histogram((lo, hi, bins): (f64, f64, usize)) -> Option<Histogram> {
-    Histogram::new(lo, hi, bins)
-}
-
-/// The `q`-quantile of an ascending slice, matching
-/// [`nfv_metrics::SampleSet::percentile`] (Hyndman–Fan type 7): rank
-/// `q·(n−1)`, linear interpolation between neighbors, 0 when empty.
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let rank = q * (sorted.len() - 1) as f64;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let lo = rank.floor() as usize;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let hi = rank.ceil() as usize;
-    #[allow(clippy::cast_precision_loss)]
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Folds one tenant's final state into the fleet registry and returns
-/// its latency percentiles: balanced-latency samples into the tenant's
-/// latency histogram (built locally and inserted once — per-sample
-/// `histogram_record` re-validation dominated the plane's overhead at
-/// 256 tenants), retry-backlog samples into the caller's per-shard
-/// backlog histogram, SLO breaches into `slo_violations`. Controller
-/// counters ride separately through [`accumulate_counters`].
-///
-/// `scratch` is a caller-owned buffer reused across tenants so the
-/// percentile pass allocates nothing per tenant (a
-/// [`Summary`](nfv_metrics::Summary) here
-/// costs two allocations and a sorted copy per call, which adds up at
-/// 256 tenants). It holds the tenant's finite latencies, sorted
-/// ascending, on return.
-fn observe_tenant(
-    registry: &mut Registry,
-    backlog: &mut Option<Histogram>,
-    scratch: &mut Vec<f64>,
-    tenant: TenantId,
-    series: &TickSeries,
-    slo_latency: f64,
-    slo_violations: &mut u64,
-) -> TenantLatencyStats {
-    let mut latency_hist = fixed_histogram(LATENCY_HISTOGRAM);
-    scratch.clear();
-    for sample in series.samples() {
-        if let Some(hist) = latency_hist.as_mut() {
-            hist.push(sample.balanced_latency);
-        }
-        if let Some(hist) = backlog.as_mut() {
-            #[allow(clippy::cast_precision_loss)]
-            hist.push(sample.retry_backlog as f64);
-        }
-        if sample.balanced_latency.is_finite() {
-            scratch.push(sample.balanced_latency);
-        }
-        if sample.balanced_latency > slo_latency {
-            *slo_violations += 1;
-        }
-    }
-    if let Some(hist) = latency_hist {
-        if hist.count() > 0 {
-            // Tenant ids are digits, which never need label escaping, so
-            // the key skips `Registry::labeled`'s escape pass.
-            registry.histogram_insert(
-                format!("tenant_latency_seconds{{tenant=\"{}\"}}", tenant.as_u32()),
-                hist,
-            );
-        }
-    }
-    scratch.sort_unstable_by(f64::total_cmp);
-    TenantLatencyStats {
-        tenant,
-        samples: scratch.len() as u64,
-        p50: percentile_sorted(scratch, 0.5),
-        p95: percentile_sorted(scratch, 0.95),
-        p99: percentile_sorted(scratch, 0.99),
-    }
-}
-
-/// Per-epoch chaos bookkeeping threaded through the pump: the epoch's
-/// channel-fault targets, per-tenant pump counters (the `nth` a drop or
-/// duplicate keys on), and the replay logs of the *true* pumped events —
-/// what the controller would have seen with a perfect channel, and what
-/// recovery replays.
-struct PumpChaos<'a> {
-    drop_at: &'a [Option<u64>],
-    dup_at: &'a [Option<u64>],
-    pumped: &'a mut [u64],
-    logs: &'a mut [Vec<TimedEvent>],
-}
-
-/// Pulls events with `time ≤ boundary` from each installed tenant's
-/// stream into its channel: shard order, tenant order, stopping per
-/// tenant at a full channel (the head event parks in `pending`). Parked
-/// tenants have no slot and are skipped — their streams stall until
-/// re-install. Returns the number of events pumped.
-///
-/// With a chaos context, every pumped event is logged first; a targeted
-/// event is then dropped before the channel or pushed twice (the
-/// duplicate is lost if the channel has no room — deterministic either
-/// way). A dropped event still counts as pumped: the stream advanced.
-fn pump(
-    streams: &mut [ChurnStream<'_>],
-    pending: &mut [Option<TimedEvent>],
-    shards: &mut [Shard],
-    boundary: f64,
-    mut chaos: Option<&mut PumpChaos<'_>>,
-) -> u64 {
-    let mut pumped = 0;
-    for shard in shards.iter_mut() {
-        for slot in shard.slots_mut() {
-            let t = slot.tenant().as_usize();
-            while !slot.channel_full() {
-                let event = match pending[t].take() {
-                    Some(event) => event,
-                    None => match streams[t].next() {
-                        Some(event) => event,
-                        None => break,
-                    },
-                };
-                if event.time() > boundary {
-                    pending[t] = Some(event);
-                    break;
-                }
-                pumped += 1;
-                match chaos.as_deref_mut() {
-                    None => slot.push(event),
-                    Some(chaos) => {
-                        let nth = chaos.pumped[t];
-                        chaos.pumped[t] += 1;
-                        chaos.logs[t].push(event.clone());
-                        if chaos.drop_at[t] == Some(nth) {
-                            continue;
-                        }
-                        let duplicate = (chaos.dup_at[t] == Some(nth)).then(|| event.clone());
-                        slot.push(event);
-                        if let Some(duplicate) = duplicate {
-                            if !slot.channel_full() {
-                                slot.push(duplicate);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    pumped
-}
-
-/// Sums the fleet-wide counters: every installed tenant, the parked
-/// one, and the frozen reports of quarantined tenants — shard order then
-/// tenant order (all-integer, so order only matters for determinism of
-/// iteration, which is fixed anyway).
-fn fleet_totals(
-    shards: &[Shard],
-    handoff: &HandoffLayer,
-    quarantines: &[QuarantineRecord],
-    epoch: u64,
-    end_time: f64,
-) -> EpochRecord {
-    let mut record = EpochRecord {
-        epoch,
-        end_time,
-        ..EpochRecord::default()
-    };
-    let mut add = |r: &ControllerReport| {
-        record.admitted += r.admitted;
-        record.retry_admitted += r.retry_admitted;
-        record.active += r.active;
-        record.departed += r.departed;
-        record.shed += r.shed;
-    };
-    for shard in shards {
-        for slot in shard.slots() {
-            add(&slot.report());
-        }
-    }
-    if let Some(parked) = handoff.parked_report() {
-        add(parked);
-    }
-    for quarantine in quarantines {
-        add(&quarantine.report);
-    }
-    record
+/// The tenant scenarios of a spec.
+fn scenarios(spec: &FleetSpec) -> Result<Vec<Scenario>, FleetError> {
+    (0..spec.tenants)
+        .map(|t| {
+            ScenarioBuilder::new()
+                .vnfs(spec.vnfs)
+                .requests(spec.requests)
+                .service_rate_policy(ServiceRatePolicy::ScaledToLoad {
+                    target_utilization: spec.target_utilization,
+                })
+                .seed(tenant_seed(spec.seed, TenantId::new(t as u32)))
+                .build()
+                .map_err(FleetError::Workload)
+        })
+        .collect()
 }
 
 /// Runs a fleet to its horizon.
@@ -698,689 +482,21 @@ pub fn run(spec: &FleetSpec) -> Result<FleetOutcome, FleetError> {
 ///
 /// Everything [`run`] can return, plus [`FleetError::PumpStalled`] for
 /// a wedged channel and [`FleetError::RestoreFailed`] if a checkpoint
-/// snapshot does not restore.
+/// does not restore. A drain worker panic the plan did not inject is a
+/// bug, not a fault: it returns [`FleetError::Pool`].
 pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcome, FleetError> {
     spec.validate()?;
-    let threads = if spec.threads == 0 {
-        default_threads()
-    } else {
-        spec.threads
-    };
-    let chaos_on = !plan.is_empty();
-    // Observability plane. Span durations are the only wall-clock values
-    // and never flow back into a decision; the tree's structure, the
-    // registry, the percentiles, and the postmortems all derive from the
-    // deterministic virtual-time run.
-    let obs = spec.observability;
-    let run_watch = obs.then(Stopwatch::start);
-    let mut spans = SpanTree::new();
-    let root_span = obs.then(|| spans.root("fleet run", 0.0));
-    let mut postmortems: Vec<Postmortem> = Vec::new();
-    let scenarios: Vec<Scenario> = (0..spec.tenants)
-        .map(|t| {
-            ScenarioBuilder::new()
-                .vnfs(spec.vnfs)
-                .requests(spec.requests)
-                .service_rate_policy(ServiceRatePolicy::ScaledToLoad {
-                    target_utilization: spec.target_utilization,
-                })
-                .seed(tenant_seed(spec.seed, TenantId::new(t as u32)))
-                .build()
-                .map_err(FleetError::Workload)
-        })
-        .collect::<Result<_, _>>()?;
-    let mut streams: Vec<ChurnStream<'_>> = Vec::with_capacity(spec.tenants);
-    for (t, scenario) in scenarios.iter().enumerate() {
-        streams.push(
-            ChurnTraceBuilder::new()
-                .horizon(spec.horizon)
-                .arrival_rate(spec.arrival_rate)
-                .mean_holding(spec.mean_holding)
-                .tick_period(spec.tick_period)
-                .seed(derive_seed(spec.seed, t as u64))
-                .stream(scenario)
-                .map_err(FleetError::Workload)?,
-        );
+    let scenarios = scenarios(spec)?;
+    let mut fleet = FleetRun::new(spec, plan, &scenarios)?;
+    for index in 0..spec.epochs() {
+        let mut epoch = fleet.begin(index);
+        fleet.install_due(&epoch)?;
+        fleet.checkpoint_faulted(&epoch);
+        fleet.pump_and_drain(&mut epoch)?;
+        fleet.boundary_sweep(&epoch)?;
+        fleet.close_epoch(&epoch)?;
     }
-    let mut pending: Vec<Option<TimedEvent>> = (0..spec.tenants).map(|_| None).collect();
-    let mut shards: Vec<Shard> = (0..spec.shards).map(Shard::new).collect();
-    for (t, scenario) in scenarios.iter().enumerate() {
-        let telemetry = if spec.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
-        shards[t % spec.shards].install(TenantSlot::new(
-            TenantId::new(t as u32),
-            Controller::new(scenario, spec.controller),
-            EventChannel::new(spec.channel_capacity),
-            telemetry,
-        ));
-    }
-    let epochs = spec.epochs();
-    let mut handoff = HandoffLayer::default();
-    let mut epoch_records = Vec::with_capacity(epochs as usize);
-    let mut processed_before = 0u64;
-    // Chaos state. The chaos journal is separate from the tenant
-    // journals so recoverable faults leave the merged fleet journal
-    // byte-identical.
-    let mut chaos_tel = if spec.telemetry && chaos_on {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let mut recovery = RecoveryReport::default();
-    let mut quarantines: Vec<QuarantineRecord> = Vec::new();
-    let mut quarantined_telemetry: Vec<Telemetry> = Vec::new();
-    let mut checkpoints: Vec<Option<SlotCheckpoint>> = (0..spec.tenants).map(|_| None).collect();
-    let mut logs: Vec<Vec<TimedEvent>> = (0..spec.tenants).map(|_| Vec::new()).collect();
-    let mut epoch_pumped: Vec<u64> = vec![0; spec.tenants];
-    for epoch in 0..epochs {
-        let epoch_watch = obs.then(Stopwatch::start);
-        let epoch_span = root_span.map(|root| spans.child(root, format!("epoch {epoch}"), 0.0));
-        let handoff_watch = obs.then(Stopwatch::start);
-        handoff.install_due(&mut shards, epoch)?;
-        if let (Some(watch), Some(span)) = (handoff_watch, epoch_span) {
-            spans.accumulate(span, "handoff", watch.elapsed_seconds());
-        }
-        let faults = plan.for_epoch(epoch as usize);
-        let epoch_faulted = !faults.is_empty();
-        let epoch_start = epoch as f64 * spec.epoch;
-        let epoch_end = spec.horizon.min((epoch + 1) as f64 * spec.epoch);
-
-        // Decode this epoch's faults into per-tenant/per-shard targets.
-        // Faults naming tenants that are parked (in transit) or already
-        // quarantined never fire: a parked tenant pumps and drains
-        // nothing, and a quarantined one has no slot.
-        let mut drop_at: Vec<Option<u64>> = vec![None; spec.tenants];
-        let mut dup_at: Vec<Option<u64>> = vec![None; spec.tenants];
-        let mut crash: Vec<bool> = vec![false; spec.tenants];
-        let mut corrupt_live: Vec<bool> = vec![false; spec.tenants];
-        let mut corrupt_cp: Vec<bool> = vec![false; spec.tenants];
-        let mut wedge: Vec<bool> = vec![false; spec.tenants];
-        let mut panic_pending: Vec<usize> = Vec::new();
-        for fault in faults {
-            match *fault {
-                FaultKind::ShardPanic { shard } if shard < shards.len() => {
-                    panic_pending.push(shard);
-                }
-                FaultKind::TenantCrash { tenant } if (tenant as usize) < spec.tenants => {
-                    crash[tenant as usize] = true;
-                }
-                FaultKind::ChannelDrop { tenant, nth } if (tenant as usize) < spec.tenants => {
-                    drop_at[tenant as usize] = Some(nth);
-                }
-                FaultKind::ChannelDup { tenant, nth } if (tenant as usize) < spec.tenants => {
-                    dup_at[tenant as usize] = Some(nth);
-                }
-                FaultKind::CorruptState { tenant } if (tenant as usize) < spec.tenants => {
-                    corrupt_live[tenant as usize] = true;
-                }
-                FaultKind::CorruptCheckpoint { tenant } if (tenant as usize) < spec.tenants => {
-                    corrupt_cp[tenant as usize] = true;
-                }
-                FaultKind::WedgeDrain { tenant } if (tenant as usize) < spec.tenants => {
-                    wedge[tenant as usize] = true;
-                }
-                _ => {}
-            }
-        }
-
-        // Checkpoint every installed tenant at the faulted epoch's start
-        // (after install_due, so a freshly installed tenant is covered)
-        // and reset the epoch's replay logs and pump counters.
-        if epoch_faulted {
-            let checkpoint_watch = obs.then(Stopwatch::start);
-            for (t, log) in logs.iter_mut().enumerate() {
-                log.clear();
-                epoch_pumped[t] = 0;
-            }
-            for shard in &mut shards {
-                let shard_id = shard.id() as u64;
-                let tenants = shard.tenants() as u64;
-                for slot in shard.slots_mut() {
-                    let t = slot.tenant().as_usize();
-                    slot.checkpoint(&mut checkpoints[t]);
-                    recovery.checkpoints += 1;
-                    if wedge[t] {
-                        slot.set_wedged(true);
-                        recovery.faults_injected += 1;
-                    }
-                }
-                chaos_tel.emit(epoch_start, epoch, || EventKind::CheckpointTaken {
-                    shard: shard_id,
-                    tenants,
-                });
-            }
-            for (t, wedged) in wedge.iter().enumerate() {
-                if *wedged {
-                    let shard = shards
-                        .iter()
-                        .position(|s| s.slots().iter().any(|x| x.tenant().as_usize() == t));
-                    if let Some(shard) = shard {
-                        chaos_tel.emit(epoch_start, epoch, || EventKind::FaultInjected {
-                            cause: "wedge_drain".into(),
-                            shard: shard as u64,
-                            tenant: t as u64,
-                        });
-                    }
-                }
-            }
-            if let (Some(watch), Some(span)) = (checkpoint_watch, epoch_span) {
-                spans.accumulate(span, "checkpoint", watch.elapsed_seconds());
-            }
-        }
-
-        // The final epoch flushes everything, horizon-clamped streams
-        // included, so no event is left behind a fractional boundary.
-        let boundary = if epoch + 1 == epochs {
-            f64::MAX
-        } else {
-            (epoch + 1) as f64 * spec.epoch
-        };
-        // Round-grained phase timings batch into these locals and flush
-        // into the epoch span once the epoch settles: `accumulate` scans
-        // the span's children by label (and the drain labels are
-        // formatted strings), so per-round calls were a measurable slice
-        // of the plane's overhead at fleet scale.
-        let mut pump_seconds = 0.0;
-        let mut drain_seconds = vec![0.0; shards.len()];
-        loop {
-            let pump_watch = obs.then(Stopwatch::start);
-            let pumped = {
-                let mut ctx = PumpChaos {
-                    drop_at: &drop_at,
-                    dup_at: &dup_at,
-                    pumped: &mut epoch_pumped,
-                    logs: &mut logs,
-                };
-                pump(
-                    &mut streams,
-                    &mut pending,
-                    &mut shards,
-                    boundary,
-                    epoch_faulted.then_some(&mut ctx),
-                )
-            };
-            if let Some(watch) = pump_watch {
-                pump_seconds += watch.elapsed_seconds();
-            }
-            let buffered: usize = shards.iter().map(Shard::buffered).sum();
-            if pumped == 0 && buffered == 0 {
-                break;
-            }
-            let drained = if chaos_on {
-                // Supervised drain: each worker's panic is contained by
-                // `catch_task`, so the shards (borrowed mutably through
-                // the pool) survive the unwind mid-drain.
-                let inject: Vec<Option<u64>> = shards
-                    .iter()
-                    .map(|s| {
-                        (panic_pending.contains(&s.id()) && s.buffered() > 0)
-                            .then(|| (s.buffered() as u64).div_ceil(2))
-                    })
-                    .collect();
-                let results = par_map_indexed(
-                    threads,
-                    shards.iter_mut().collect::<Vec<&mut Shard>>(),
-                    |i, shard: &mut Shard| {
-                        catch_task(i, || {
-                            if let Some(limit) = inject[i] {
-                                shard.drain_upto(limit);
-                                panic!("injected shard-worker panic");
-                            }
-                            let watch = obs.then(Stopwatch::start);
-                            let drained = shard.drain_round();
-                            (drained, watch.map_or(0.0, |w| w.elapsed_seconds()))
-                        })
-                    },
-                )
-                .map_err(FleetError::Pool)?;
-                let mut drained = 0;
-                for (i, result) in results.into_iter().enumerate() {
-                    match result {
-                        Ok((n, seconds)) => {
-                            drained += n;
-                            drain_seconds[i] += seconds;
-                        }
-                        Err(_panic) => {
-                            // The worker died mid-drain: restore every
-                            // tenant of the poisoned shard from its
-                            // epoch checkpoint, clear its channels, and
-                            // replay the epoch's pumped events so far.
-                            let restore_watch = obs.then(Stopwatch::start);
-                            panic_pending.retain(|&s| s != i);
-                            recovery.faults_injected += 1;
-                            let shard = &mut shards[i];
-                            let first_tenant = shard
-                                .slots()
-                                .first()
-                                .map_or(u64::MAX, |s| u64::from(s.tenant().as_u32()));
-                            chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                                cause: "shard_panic".into(),
-                                shard: i as u64,
-                                tenant: first_tenant,
-                            });
-                            let mut replayed = 0;
-                            let mut delta = 0i64;
-                            for slot in shard.slots_mut() {
-                                let t = slot.tenant().as_usize();
-                                let Some(checkpoint) = checkpoints[t].as_ref() else {
-                                    continue;
-                                };
-                                let before = slot.processed();
-                                slot.restore(checkpoint).map_err(|reason| {
-                                    FleetError::RestoreFailed {
-                                        tenant: slot.tenant(),
-                                        epoch,
-                                        reason,
-                                    }
-                                })?;
-                                replayed += slot.replay(&logs[t]);
-                                delta += slot.processed() as i64 - before as i64;
-                            }
-                            shard.adjust_processed(delta);
-                            recovery.shard_restores += 1;
-                            recovery.events_replayed += replayed;
-                            chaos_tel.emit(epoch_end, epoch, || EventKind::ShardRestored {
-                                shard: i as u64,
-                                replayed,
-                            });
-                            // Replay is forward progress for the stall
-                            // guard: the shard's channels are empty now.
-                            drained += replayed;
-                            if let (Some(watch), Some(span)) = (restore_watch, epoch_span) {
-                                spans.accumulate(span, "restore", watch.elapsed_seconds());
-                            }
-                        }
-                    }
-                }
-                drained
-            } else {
-                let results = par_map_indexed(threads, shards, |_, mut shard| {
-                    let watch = obs.then(Stopwatch::start);
-                    let drained = shard.drain_round();
-                    let seconds = watch.map_or(0.0, |w| w.elapsed_seconds());
-                    (shard, drained, seconds)
-                })
-                .map_err(FleetError::Pool)?;
-                let mut drained = 0;
-                shards = results
-                    .into_iter()
-                    .map(|(shard, n, seconds)| {
-                        drained += n;
-                        drain_seconds[shard.id()] += seconds;
-                        shard
-                    })
-                    .collect();
-                drained
-            };
-            if pumped == 0 && drained == 0 {
-                // Nothing moved this round but events are still
-                // buffered: the epoch loop would spin forever. Surface
-                // the first stuck tenant instead.
-                let tenant = shards
-                    .iter()
-                    .flat_map(Shard::slots)
-                    .find(|slot| slot.buffered() > 0)
-                    .map_or(TenantId::new(0), TenantSlot::tenant);
-                return Err(FleetError::PumpStalled { tenant, epoch });
-            }
-        }
-        if let Some(span) = epoch_span {
-            spans.accumulate(span, "pump", pump_seconds);
-            for (i, seconds) in drain_seconds.iter().enumerate() {
-                spans.accumulate(span, &format!("drain shard {i}"), *seconds);
-            }
-        }
-
-        // Epoch-boundary fault application + recovery sweep: inject the
-        // boundary faults, then restore every tenant that crashed, saw a
-        // channel fault fire, or fails the conservation invariant —
-        // quarantining those whose checkpoint is corrupt.
-        if epoch_faulted {
-            let sweep_watch = obs.then(Stopwatch::start);
-            let mut quarantine_seconds = 0.0;
-            let drop_fired = |t: usize| drop_at[t].is_some_and(|nth| epoch_pumped[t] > nth);
-            let dup_fired = |t: usize| dup_at[t].is_some_and(|nth| epoch_pumped[t] > nth);
-            for (si, shard) in shards.iter_mut().enumerate() {
-                let mut delta = 0i64;
-                let mut replayed = 0u64;
-                let mut restored_any = false;
-                let mut to_quarantine: Vec<(TenantId, &'static str)> = Vec::new();
-                for slot in shard.slots_mut() {
-                    let t = slot.tenant().as_usize();
-                    slot.set_wedged(false);
-                    if corrupt_live[t] || corrupt_cp[t] {
-                        slot.corrupt_conservation();
-                        recovery.faults_injected += 1;
-                        let cause = if corrupt_cp[t] {
-                            "corrupt_checkpoint"
-                        } else {
-                            "corrupt_state"
-                        };
-                        chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: cause.into(),
-                            shard: si as u64,
-                            tenant: t as u64,
-                        });
-                        if corrupt_cp[t] {
-                            if let Some(checkpoint) = checkpoints[t].as_mut() {
-                                checkpoint.valid = false;
-                            }
-                        }
-                    }
-                    if crash[t] {
-                        recovery.faults_injected += 1;
-                        chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: "tenant_crash".into(),
-                            shard: si as u64,
-                            tenant: t as u64,
-                        });
-                    }
-                    if drop_fired(t) {
-                        recovery.faults_injected += 1;
-                        chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: "channel_drop".into(),
-                            shard: si as u64,
-                            tenant: t as u64,
-                        });
-                    }
-                    if dup_fired(t) {
-                        recovery.faults_injected += 1;
-                        chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: "channel_dup".into(),
-                            shard: si as u64,
-                            tenant: t as u64,
-                        });
-                    }
-                    let report = slot.report();
-                    let conserved = report.admitted + report.retry_admitted
-                        == report.active + report.departed + report.shed;
-                    let needs_recovery = crash[t] || drop_fired(t) || dup_fired(t) || !conserved;
-                    if !needs_recovery {
-                        continue;
-                    }
-                    let Some(checkpoint) = checkpoints[t].as_ref() else {
-                        continue;
-                    };
-                    if !checkpoint.valid {
-                        to_quarantine.push((slot.tenant(), "corrupt_checkpoint"));
-                        continue;
-                    }
-                    let before = slot.processed();
-                    slot.restore(checkpoint)
-                        .map_err(|reason| FleetError::RestoreFailed {
-                            tenant: slot.tenant(),
-                            epoch,
-                            reason,
-                        })?;
-                    replayed += slot.replay(&logs[t]);
-                    delta += slot.processed() as i64 - before as i64;
-                    restored_any = true;
-                    recovery.tenant_restores += 1;
-                }
-                shard.adjust_processed(delta);
-                if restored_any {
-                    recovery.events_replayed += replayed;
-                    chaos_tel.emit(epoch_end, epoch, || EventKind::ShardRestored {
-                        shard: si as u64,
-                        replayed,
-                    });
-                }
-                let quarantine_watch = obs.then(Stopwatch::start);
-                for (tenant, cause) in to_quarantine {
-                    let t = tenant.as_usize();
-                    let (Some(slot), Some(checkpoint)) =
-                        (shard.retire(tenant), checkpoints[t].take())
-                    else {
-                        continue;
-                    };
-                    // The retired slot, rewound to its checkpoint, is the
-                    // frozen state: its counters and its own journal.
-                    let (report, telemetry) =
-                        slot.freeze(&checkpoint)
-                            .map_err(|reason| FleetError::RestoreFailed {
-                                tenant,
-                                epoch,
-                                reason,
-                            })?;
-                    recovery.tenants_quarantined += 1;
-                    chaos_tel.emit(epoch_end, epoch, || EventKind::TenantQuarantined {
-                        tenant: u64::from(tenant.as_u32()),
-                        cause: cause.into(),
-                    });
-                    // Flight-recorder dump: the frozen journal's tail and
-                    // counters.
-                    if obs {
-                        postmortems.push(Postmortem::new(
-                            u64::from(tenant.as_u32()),
-                            epoch,
-                            cause,
-                            telemetry.recent_events(FLIGHT_RECORDER_WINDOW),
-                            report.counters(),
-                        ));
-                    }
-                    quarantined_telemetry.push(telemetry);
-                    quarantines.push(QuarantineRecord {
-                        tenant,
-                        epoch,
-                        cause,
-                        report,
-                    });
-                }
-                if let Some(watch) = quarantine_watch {
-                    quarantine_seconds += watch.elapsed_seconds();
-                }
-            }
-            if let (Some(watch), Some(span)) = (sweep_watch, epoch_span) {
-                let total = watch.elapsed_seconds();
-                spans.accumulate(span, "restore", (total - quarantine_seconds).max(0.0));
-                spans.accumulate(span, "quarantine", quarantine_seconds);
-            }
-        }
-
-        let processed_now: u64 = shards.iter().map(Shard::processed).sum();
-        let mut record = fleet_totals(&shards, &handoff, &quarantines, epoch, epoch_end);
-        record.events = processed_now - processed_before;
-        processed_before = processed_now;
-        epoch_records.push(record);
-        // Initiate a handoff only when its install epoch still exists.
-        if spec.rebalance_every > 0 && (epoch + 1) % spec.rebalance_every == 0 && epoch + 2 < epochs
-        {
-            let initiate_watch = obs.then(Stopwatch::start);
-            handoff.initiate(&mut shards, epoch, spec.epoch)?;
-            if let (Some(watch), Some(span)) = (initiate_watch, epoch_span) {
-                spans.accumulate(span, "handoff", watch.elapsed_seconds());
-            }
-        }
-        // Set LAST so the epoch span covers every phase child and the
-        // `(other)` residual sums exactly to the measured epoch time.
-        if let (Some(watch), Some(span)) = (epoch_watch, epoch_span) {
-            spans.set_seconds(span, watch.elapsed_seconds());
-        }
-    }
-    debug_assert!(handoff.idle(), "every handoff installs before the run ends");
-    let migrations = handoff.records().to_vec();
-    // Close every tenant at the horizon and merge journals per shard in
-    // shard-id order (tenant order within each shard).
-    let finish_watch = obs.then(Stopwatch::start);
-    let shard_events: Vec<u64> = shards.iter().map(Shard::processed).collect();
-    let mut tenant_reports: Vec<(TenantId, ControllerReport)> = Vec::with_capacity(spec.tenants);
-    let mut parts: Vec<TelemetryArtifacts> = Vec::with_capacity(spec.tenants);
-    let mut registry = Registry::new();
-    let mut slo_violations = 0u64;
-    let mut tenant_latency: Vec<TenantLatencyStats> = Vec::new();
-    let mut latency_scratch: Vec<f64> = Vec::new();
-    for shard in shards {
-        let shard_label = shard.id().to_string();
-        let mut shard_profile = obs.then(PhaseProfile::new);
-        let mut shard_counters: Vec<(&'static str, u64)> = Vec::new();
-        let mut shard_backlog = if obs {
-            fixed_histogram(BACKLOG_HISTOGRAM)
-        } else {
-            None
-        };
-        if obs {
-            registry.counter_add(
-                Registry::labeled("fleet_shard_events_total", "shard", &shard_label),
-                shard.processed(),
-            );
-        }
-        for (tenant, report, artifacts) in shard.finish(spec.horizon) {
-            if obs {
-                accumulate_counters(&mut shard_counters, &report);
-                tenant_latency.push(observe_tenant(
-                    &mut registry,
-                    &mut shard_backlog,
-                    &mut latency_scratch,
-                    tenant,
-                    &artifacts.series,
-                    spec.slo_latency,
-                    &mut slo_violations,
-                ));
-            }
-            if let Some(profile) = shard_profile.as_mut() {
-                profile.merge(&artifacts.profile);
-            }
-            tenant_reports.push((tenant, report));
-            parts.push(artifacts);
-        }
-        // This fold is serial and walks the shards in shard-id order, so
-        // the registry fills in a deterministic order regardless of how
-        // many workers drained the epochs — the dump is byte-identical
-        // at any thread count. (`Registry::merge` composes slices built
-        // elsewhere; the fleet writes directly to skip the merge copy.)
-        if obs {
-            flush_counters(&mut registry, &shard_counters);
-            if let Some(hist) = shard_backlog {
-                if hist.count() > 0 {
-                    registry.histogram_insert(
-                        Registry::labeled("shard_retry_backlog", "shard", &shard_label),
-                        hist,
-                    );
-                }
-            }
-        }
-        if let (Some(root), Some(profile)) = (root_span, shard_profile.as_ref()) {
-            let total: f64 = Phase::ALL
-                .iter()
-                .map(|p| profile.summary(*p).samples().as_slice().iter().sum::<f64>())
-                .sum();
-            let node = spans.child(
-                root,
-                format!("controller phases shard {shard_label}"),
-                total,
-            );
-            spans.graft_profile(node, profile);
-        }
-    }
-    // Quarantined tenants contribute their frozen checkpoint state:
-    // counters into the totals, checkpoint-time journal after the live
-    // shards' parts (quarantine order, which is deterministic), latency
-    // stats into the registry under the "quarantined" shard label.
-    let mut quarantine_counters: Vec<(&'static str, u64)> = Vec::new();
-    let mut quarantine_backlog = if obs {
-        fixed_histogram(BACKLOG_HISTOGRAM)
-    } else {
-        None
-    };
-    for (quarantine, telemetry) in quarantines.iter().zip(quarantined_telemetry) {
-        tenant_reports.push((quarantine.tenant, quarantine.report.clone()));
-        let artifacts = telemetry.finish();
-        if obs {
-            accumulate_counters(&mut quarantine_counters, &quarantine.report);
-            tenant_latency.push(observe_tenant(
-                &mut registry,
-                &mut quarantine_backlog,
-                &mut latency_scratch,
-                quarantine.tenant,
-                &artifacts.series,
-                spec.slo_latency,
-                &mut slo_violations,
-            ));
-        }
-        parts.push(artifacts);
-    }
-    if obs {
-        flush_counters(&mut registry, &quarantine_counters);
-        if let Some(hist) = quarantine_backlog {
-            if hist.count() > 0 {
-                registry.histogram_insert(
-                    Registry::labeled("shard_retry_backlog", "shard", "quarantined"),
-                    hist,
-                );
-            }
-        }
-    }
-    let artifacts = TelemetryArtifacts::merged(parts);
-    tenant_reports.sort_by_key(|(tenant, _)| *tenant);
-    let mut report = FleetReport {
-        tenants: spec.tenants,
-        shards: spec.shards,
-        epochs,
-        events: shard_events.iter().sum(),
-        admitted: 0,
-        rejected: 0,
-        departed: 0,
-        shed: 0,
-        retry_admitted: 0,
-        active: 0,
-        migrations: migrations.len() as u64,
-        migration_cost: migrations
-            .iter()
-            .map(|m| m.carried_active + m.carried_retry)
-            .sum(),
-        mean_rebalance_latency: if migrations.is_empty() {
-            0.0
-        } else {
-            migrations.iter().map(|m| m.latency).sum::<f64>() / migrations.len() as f64
-        },
-        shard_events,
-        slo_violations,
-        tenant_latency: {
-            tenant_latency.sort_by_key(|stats| stats.tenant);
-            tenant_latency
-        },
-    };
-    for (_, r) in &tenant_reports {
-        report.admitted += r.admitted;
-        report.rejected += r.rejected;
-        report.departed += r.departed;
-        report.shed += r.shed;
-        report.retry_admitted += r.retry_admitted;
-        report.active += r.active;
-    }
-    if obs {
-        registry.counter_add("fleet_slo_violations_total", slo_violations);
-        registry.counter_add("fleet_migrations_total", report.migrations);
-        registry.gauge_set("fleet_active", report.active as f64);
-        registry.gauge_set("fleet_tenants", spec.tenants as f64);
-        registry.gauge_set("fleet_shards", spec.shards as f64);
-        registry.gauge_set(
-            "fleet_mean_rebalance_latency_seconds",
-            report.mean_rebalance_latency,
-        );
-    }
-    if let (Some(watch), Some(root)) = (finish_watch, root_span) {
-        spans.accumulate(root, "finish", watch.elapsed_seconds());
-    }
-    if let (Some(watch), Some(root)) = (run_watch, root_span) {
-        spans.set_seconds(root, watch.elapsed_seconds());
-    }
-    Ok(FleetOutcome {
-        report,
-        epoch_records,
-        migrations,
-        tenant_reports,
-        artifacts,
-        recovery,
-        quarantines,
-        chaos_artifacts: chaos_tel.finish(),
-        spans,
-        registry,
-        postmortems,
-    })
+    Ok(fleet.finish())
 }
 
 #[cfg(test)]

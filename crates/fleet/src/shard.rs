@@ -1,11 +1,7 @@
-//! Shards: the unit of parallelism in the fleet loop.
-//!
-//! A shard owns a disjoint set of tenants — each tenant an independent
-//! controller plus its bounded event channel and telemetry session — and
-//! drains them in tenant-id order during the parallel phase of every
-//! epoch round. Shards never share state, so running them on the
-//! `nfv-parallel` pool (results folded in shard-id order) is bit-identical
-//! to running them serially.
+//! Shards: the unit of parallelism in the fleet loop. A shard owns a
+//! disjoint set of tenant slots and drains them in tenant-id order; shards
+//! share no state, so draining them on the pool is bit-identical to
+//! draining them serially.
 
 use nfv_controller::{Controller, ControllerMark, ControllerReport, SnapshotError};
 use nfv_telemetry::{Telemetry, TelemetryArtifacts};
@@ -14,15 +10,12 @@ use nfv_workload::TenantId;
 
 use crate::channel::EventChannel;
 
-/// An epoch-boundary checkpoint of one tenant slot: the controller's
-/// live state plus history watermarks ([`ControllerMark`]) and the
-/// processed-event count; the slot's telemetry session holds its own
-/// matching mark. Its cost follows the tenant's live requests, not the
-/// length of its history. Rewinding a slot to its checkpoint and
-/// replaying the epoch's pumped events reproduces the undisturbed slot
-/// bit for bit.
+/// An epoch-start checkpoint of one tenant slot: the controller's live
+/// state plus history watermarks ([`ControllerMark`]) and the processed
+/// count (the telemetry session keeps its own mark). Rewinding to it and
+/// replaying the epoch's pumped events reproduces the undisturbed slot.
 #[derive(Debug, Clone)]
-pub struct SlotCheckpoint {
+pub(crate) struct SlotCheckpoint {
     pub(crate) tenant: TenantId,
     pub(crate) controller: ControllerMark,
     pub(crate) processed: u64,
@@ -65,7 +58,7 @@ impl std::error::Error for RestoreError {}
 /// One tenant living inside a shard: its controller, its event channel,
 /// its telemetry session, and its cumulative processed-event count.
 #[derive(Debug)]
-pub struct TenantSlot {
+pub(crate) struct TenantSlot {
     tenant: TenantId,
     controller: Controller,
     channel: EventChannel,
@@ -78,8 +71,7 @@ pub struct TenantSlot {
 
 impl TenantSlot {
     /// Assembles a slot around an idle controller.
-    #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         tenant: TenantId,
         controller: Controller,
         channel: EventChannel,
@@ -96,38 +88,33 @@ impl TenantSlot {
     }
 
     /// The tenant this slot belongs to.
-    #[must_use]
-    pub fn tenant(&self) -> TenantId {
+    pub(crate) fn tenant(&self) -> TenantId {
         self.tenant
     }
 
     /// Whether the channel cannot take another event this round.
-    #[must_use]
-    pub fn channel_full(&self) -> bool {
+    pub(crate) fn channel_full(&self) -> bool {
         self.channel.is_full()
     }
 
     /// Buffered (pumped but not yet processed) events.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.channel.len()
     }
 
     /// Enqueues one event (the pump phase checked `channel_full`).
-    pub fn push(&mut self, event: TimedEvent) {
+    pub(crate) fn push(&mut self, event: TimedEvent) {
         let pushed = self.channel.try_push(event).is_ok();
         debug_assert!(pushed, "pump must respect the channel bound");
     }
 
     /// Events this tenant's controller has processed so far.
-    #[must_use]
-    pub fn processed(&self) -> u64 {
+    pub(crate) fn processed(&self) -> u64 {
         self.processed
     }
 
     /// The controller's current counter snapshot.
-    #[must_use]
-    pub fn report(&self) -> ControllerReport {
+    pub(crate) fn report(&self) -> ControllerReport {
         self.controller.report()
     }
 
@@ -144,15 +131,6 @@ impl TenantSlot {
             .handle_owned_traced(event, &mut self.telemetry);
         self.processed += 1;
         true
-    }
-
-    /// Drains the channel into the controller, oldest first.
-    fn drain(&mut self) -> u64 {
-        let mut drained = 0;
-        while self.drain_one() {
-            drained += 1;
-        }
-        drained
     }
 
     /// Sets or clears the chaos wedge (see [`TenantSlot::wedged`]).
@@ -185,14 +163,8 @@ impl TenantSlot {
 
     /// Rewinds the slot to a checkpoint: controller and telemetry back to
     /// their marks, the processed count restored, the channel cleared
-    /// (its events are in the epoch's replay log), the wedge lifted.
-    /// All-or-nothing: on error the slot is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::WrongTenant`] for another slot's checkpoint;
-    /// [`RestoreError::Controller`] if the controller refuses the mark
-    /// (it always accepts one taken from the same slot).
+    /// (its events are in the replay log), the wedge lifted. On error
+    /// (another slot's checkpoint, or a refused mark) nothing changes.
     pub(crate) fn restore(&mut self, checkpoint: &SlotCheckpoint) -> Result<(), RestoreError> {
         if checkpoint.tenant != self.tenant {
             return Err(RestoreError::WrongTenant {
@@ -213,10 +185,6 @@ impl TenantSlot {
     /// Retires the slot through the quarantine path: rewinds it to
     /// `checkpoint` and returns its frozen counters and its telemetry
     /// session, journal cut at the checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// As [`restore`](Self::restore).
     pub(crate) fn freeze(
         mut self,
         checkpoint: &SlotCheckpoint,
@@ -228,7 +196,7 @@ impl TenantSlot {
     /// Replays logged events straight into the controller (bypassing the
     /// channel) — the catch-up phase after a checkpoint restore. Returns
     /// the number of events replayed.
-    pub(crate) fn replay(&mut self, events: &[TimedEvent]) -> u64 {
+    fn replay(&mut self, events: &[TimedEvent]) -> u64 {
         for event in events {
             self.controller
                 .handle_owned_traced(event.clone(), &mut self.telemetry);
@@ -257,7 +225,7 @@ impl TenantSlot {
 
 /// A disjoint set of tenants drained together on one pool worker.
 #[derive(Debug)]
-pub struct Shard {
+pub(crate) struct Shard {
     id: usize,
     slots: Vec<TenantSlot>,
     processed: u64,
@@ -265,8 +233,7 @@ pub struct Shard {
 
 impl Shard {
     /// Creates an empty shard.
-    #[must_use]
-    pub fn new(id: usize) -> Self {
+    pub(crate) fn new(id: usize) -> Self {
         Self {
             id,
             slots: Vec::new(),
@@ -275,96 +242,104 @@ impl Shard {
     }
 
     /// The shard's index in the fleet.
-    #[must_use]
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
     /// Number of tenants currently owned.
-    #[must_use]
-    pub fn tenants(&self) -> usize {
+    pub(crate) fn tenants(&self) -> usize {
         self.slots.len()
     }
 
     /// The owned slots in tenant-id order (the pump iterates these).
-    pub fn slots_mut(&mut self) -> &mut [TenantSlot] {
+    pub(crate) fn slots_mut(&mut self) -> &mut [TenantSlot] {
         &mut self.slots
     }
 
     /// The owned slots in tenant-id order.
-    #[must_use]
-    pub fn slots(&self) -> &[TenantSlot] {
+    pub(crate) fn slots(&self) -> &[TenantSlot] {
         &self.slots
     }
 
     /// Total events buffered across the shard's channels.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.slots.iter().map(TenantSlot::buffered).sum()
     }
 
     /// Cumulative events processed by the shard's tenants — the load
     /// metric the rebalancer compares shards by.
-    #[must_use]
-    pub fn processed(&self) -> u64 {
+    pub(crate) fn processed(&self) -> u64 {
         self.processed
     }
 
     /// Installs a tenant, keeping the slots sorted by tenant id so drain
     /// order is a pure function of ownership, not arrival order.
-    pub fn install(&mut self, slot: TenantSlot) {
+    pub(crate) fn install(&mut self, slot: TenantSlot) {
         let at = self.slots.partition_point(|s| s.tenant() < slot.tenant());
         self.slots.insert(at, slot);
     }
 
     /// Removes and returns a tenant's slot (`None` if not owned here).
-    pub fn retire(&mut self, tenant: TenantId) -> Option<TenantSlot> {
+    pub(crate) fn retire(&mut self, tenant: TenantId) -> Option<TenantSlot> {
         let at = self.slots.iter().position(|s| s.tenant() == tenant)?;
         Some(self.slots.remove(at))
     }
 
     /// One drain round: every owned channel emptied into its controller,
     /// tenant-id order. Returns the number of events processed.
-    pub fn drain_round(&mut self) -> u64 {
-        let mut drained = 0;
-        for slot in &mut self.slots {
-            drained += slot.drain();
-        }
-        self.processed += drained;
-        drained
+    pub(crate) fn drain_round(&mut self) -> u64 {
+        self.drain_upto(u64::MAX)
     }
 
     /// Drains at most `limit` events (tenant-id order, oldest first) and
-    /// stops — the half-finished round an injected worker panic leaves
-    /// behind. Returns the number of events processed.
+    /// stops — with a finite limit, the half-finished round an injected
+    /// worker panic leaves behind. Returns the number of events processed.
     pub(crate) fn drain_upto(&mut self, limit: u64) -> u64 {
         let mut drained = 0;
         for slot in &mut self.slots {
             while drained < limit && slot.drain_one() {
                 drained += 1;
             }
-            if drained >= limit {
-                break;
-            }
         }
         self.processed += drained;
         drained
     }
 
-    /// Re-aligns the shard's cumulative processed counter after a
-    /// checkpoint restore + replay changed its slots' counts (the
-    /// rebalancer compares shards by this, so recovery must leave it
-    /// exactly where the undisturbed run would).
-    pub(crate) fn adjust_processed(&mut self, delta: i64) {
-        let adjusted = self.processed.checked_add_signed(delta);
-        debug_assert!(adjusted.is_some(), "processed adjustment underflows");
-        self.processed = adjusted.unwrap_or(self.processed);
+    /// Rewinds every `selected` tenant that holds a valid checkpoint and
+    /// replays its epoch log into it, re-aligning the shard's processed
+    /// counter (the rebalancer's load metric) to the undisturbed run's.
+    /// Returns `(tenants restored, events replayed)`, or the tenant whose
+    /// checkpoint did not restore and why.
+    pub(crate) fn restore_and_replay(
+        &mut self,
+        checkpoints: &[Option<SlotCheckpoint>],
+        logs: &[Vec<TimedEvent>],
+        selected: impl Fn(usize) -> bool,
+    ) -> Result<(u64, u64), (TenantId, RestoreError)> {
+        let (mut restored, mut replayed) = (0, 0);
+        for slot in &mut self.slots {
+            let t = slot.tenant.as_usize();
+            let Some(checkpoint) = checkpoints[t].as_ref().filter(|c| c.valid && selected(t))
+            else {
+                continue;
+            };
+            let before = slot.processed;
+            slot.restore(checkpoint).map_err(|e| (slot.tenant, e))?;
+            replayed += slot.replay(&logs[t]);
+            // Never underflows: the slot's events since the checkpoint
+            // were all drained by this shard.
+            self.processed = self.processed + slot.processed - before;
+            restored += 1;
+        }
+        Ok((restored, replayed))
     }
 
     /// Closes every tenant at `horizon`; returns `(tenant, report,
     /// artifacts)` triples in tenant-id order.
-    #[must_use]
-    pub fn finish(self, horizon: f64) -> Vec<(TenantId, ControllerReport, TelemetryArtifacts)> {
+    pub(crate) fn finish(
+        self,
+        horizon: f64,
+    ) -> Vec<(TenantId, ControllerReport, TelemetryArtifacts)> {
         self.slots
             .into_iter()
             .map(|slot| slot.finish(horizon))

@@ -4,8 +4,10 @@
 //! flight-recorder postmortems are byte-identical run to run — and the
 //! whole plane can be switched off without perturbing the run itself.
 
+use std::panic;
+
 use nfv_fleet::{run, run_with_faults, FaultKind, FaultPlan, FleetSpec};
-use nfv_telemetry::Postmortem;
+use nfv_telemetry::{Postmortem, SpanId, SpanTree};
 use nfv_workload::TenantId;
 
 fn spec() -> FleetSpec {
@@ -60,10 +62,12 @@ fn disabling_observability_changes_nothing_but_the_obs_fields() {
     assert!(!on.spans.is_empty());
 }
 
-#[test]
-fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
-    let outcome = run(&spec()).unwrap();
-    let spans = &outcome.spans;
+/// Checks every epoch span of a fleet run: its serial phases, its
+/// longest drain lane and its `(other)` residual add up to the measured
+/// epoch time. The residual is clamped at zero, so the sum only holds
+/// when the covered children fit inside the epoch. Returns the number of
+/// epochs checked.
+fn assert_epochs_reconstruct(spans: &SpanTree) -> u64 {
     let roots = spans.roots();
     assert_eq!(roots.len(), 1, "one fleet-run root");
     let root = roots[0];
@@ -74,19 +78,22 @@ fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
             continue;
         }
         epochs_seen += 1;
-        let children: f64 = spans
-            .children(epoch)
-            .iter()
-            .map(|&c| spans.seconds(c))
-            .sum();
-        // Children plus the residual reconstruct the measured epoch
-        // time exactly (the residual is defined as the difference,
-        // clamped at zero — so children never exceed the parent by more
-        // than float round-off).
-        let total = children + spans.residual(epoch);
+        let (mut serial, mut longest_lane) = (0.0, 0.0f64);
+        for child in spans.children(epoch) {
+            if spans.is_lane(child) {
+                assert!(spans.label(child).starts_with("drain shard "));
+                longest_lane = longest_lane.max(spans.seconds(child));
+            } else {
+                serial += spans.seconds(child);
+            }
+        }
+        let total = serial + longest_lane + spans.residual(epoch);
+        let measured = spans.seconds(epoch);
         assert!(
-            (total - spans.seconds(epoch)).abs() <= 1e-9 * spans.seconds(epoch).max(1.0),
-            "epoch attribution must sum to the measured epoch time"
+            (total - measured).abs() <= 1e-9 * measured.max(1.0),
+            "{}: serial {serial} + longest lane {longest_lane} + residual {} != {measured}",
+            spans.label(epoch),
+            spans.residual(epoch)
         );
         let labels: Vec<&str> = spans
             .children(epoch)
@@ -99,11 +106,76 @@ fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
             "every epoch drains: {labels:?}"
         );
     }
-    assert_eq!(epochs_seen as u64, spec().epochs(), "one span per epoch");
+    epochs_seen
+}
+
+/// The tree's shape: every span's label and its parent's index, in
+/// insertion order of a depth-first walk.
+fn shape(spans: &SpanTree) -> Vec<(Option<usize>, String)> {
+    fn walk(
+        spans: &SpanTree,
+        id: SpanId,
+        parent: Option<usize>,
+        out: &mut Vec<(Option<usize>, String)>,
+    ) {
+        let at = out.len();
+        out.push((parent, spans.label(id).to_owned()));
+        for child in spans.children(id) {
+            walk(spans, child, Some(at), out);
+        }
+    }
+    let mut out = Vec::new();
+    for root in spans.roots() {
+        walk(spans, root, None, &mut out);
+    }
+    out
+}
+
+#[test]
+fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
+    let outcome = run(&spec()).unwrap();
+    let spans = &outcome.spans;
+    assert_eq!(
+        assert_epochs_reconstruct(spans),
+        spec().epochs(),
+        "one span per epoch"
+    );
     // The render carries the attribution table used by `figures profile`.
     let table = spans.render();
     assert!(table.contains("fleet run"));
     assert!(table.contains("(other)"));
+    assert!(table.contains("drain shard 0 [lane]"));
+}
+
+#[test]
+fn faulted_span_trees_reconstruct_and_keep_their_shape_at_any_thread_count() {
+    let plan = FaultPlan::none()
+        .with_fault(1, FaultKind::ShardPanic { shard: 0 })
+        .with_fault(1, FaultKind::TenantCrash { tenant: 1 })
+        .with_fault(2, FaultKind::CorruptCheckpoint { tenant: 2 });
+    let shapes: Vec<_> = [1, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            let spec = FleetSpec { threads, ..spec() };
+            let outcome = quietly(|| run_with_faults(&spec, &plan)).unwrap();
+            assert!(outcome.recovery.shard_restores > 0, "the panic fired");
+            assert_eq!(outcome.recovery.tenants_quarantined, 1);
+            assert_eq!(assert_epochs_reconstruct(&outcome.spans), spec.epochs());
+            shape(&outcome.spans)
+        })
+        .collect();
+    assert_eq!(shapes[0], shapes[1], "1 vs 2 threads");
+    assert_eq!(shapes[0], shapes[2], "1 vs 8 threads");
+}
+
+/// Runs `f` with the panic hook silenced: the plan's injected shard
+/// panic is expected and contained by the fleet.
+fn quietly<T>(f: impl FnOnce() -> T) -> T {
+    let previous = panic::take_hook();
+    panic::set_hook(Box::new(|_| {}));
+    let result = panic::catch_unwind(panic::AssertUnwindSafe(f));
+    panic::set_hook(previous);
+    result.unwrap_or_else(|payload| panic::resume_unwind(payload))
 }
 
 #[test]

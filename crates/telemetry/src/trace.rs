@@ -7,8 +7,15 @@
 //! drain vs. handoff vs. checkpoint/restore). A [`SpanTree`] holds that
 //! structure: every node has a label, a duration in seconds, and an
 //! optional parent, and [`SpanTree::render`] prints the tree with a
-//! synthetic `(other)` row per parent so children always sum *exactly*
-//! to the measured parent time.
+//! synthetic `(other)` row per parent so the attributed children always
+//! sum *exactly* to the measured parent time.
+//!
+//! A child is either *serial* (it ran inside its parent, one after the
+//! other with its serial siblings) or a concurrent *lane* (it ran at the
+//! same time as its sibling lanes, e.g. one fleet shard's drain on a
+//! pool worker). A parent's time is covered by its serial children plus
+//! its longest lane ([`SpanTree::covered`]); summing lanes would count
+//! the same wall-clock once per worker.
 //!
 //! Determinism: the tree's **structure** (node labels, parent/child
 //! edges, ordering) is a pure function of the run and is identical at
@@ -29,6 +36,7 @@ struct SpanNode {
     label: String,
     parent: Option<usize>,
     seconds: f64,
+    lane: bool,
 }
 
 /// A tree of labelled wall-clock spans (see the module docs).
@@ -49,6 +57,7 @@ impl SpanTree {
             label,
             parent,
             seconds,
+            lane: false,
         });
         SpanId(self.nodes.len() - 1)
     }
@@ -78,6 +87,21 @@ impl SpanTree {
     pub fn child(&mut self, parent: SpanId, label: impl Into<String>, seconds: f64) -> SpanId {
         debug_assert!(parent.0 < self.nodes.len(), "parent span exists");
         self.push(label.into(), Some(parent.0), seconds)
+    }
+
+    /// Adds a concurrent *lane* child under `parent` (see the module
+    /// docs): it runs beside its sibling lanes, so only the longest lane
+    /// counts toward the parent's covered time.
+    pub fn lane(&mut self, parent: SpanId, label: impl Into<String>, seconds: f64) -> SpanId {
+        let id = self.child(parent, label, seconds);
+        self.nodes[id.0].lane = true;
+        id
+    }
+
+    /// Whether a span is a concurrent lane of its parent.
+    #[must_use]
+    pub fn is_lane(&self, id: SpanId) -> bool {
+        self.nodes[id.0].lane
     }
 
     /// Adds `seconds` to the child of `parent` labelled `label`,
@@ -139,17 +163,27 @@ impl SpanTree {
             .collect()
     }
 
-    /// The part of `id`'s measured time not covered by its children
-    /// (clamped at zero) — rendered as the `(other)` row. Zero for a
-    /// leaf.
+    /// The part of `id`'s measured time its children account for: every
+    /// serial child plus the longest lane. Zero for a leaf.
+    #[must_use]
+    pub fn covered(&self, id: SpanId) -> f64 {
+        let (mut serial, mut longest_lane) = (0.0, 0.0f64);
+        for child in self.children(id) {
+            if self.is_lane(child) {
+                longest_lane = longest_lane.max(self.seconds(child));
+            } else {
+                serial += self.seconds(child);
+            }
+        }
+        serial + longest_lane
+    }
+
+    /// The part of `id`'s measured time not [`covered`](Self::covered)
+    /// by its children (clamped at zero) — rendered as the `(other)`
+    /// row. Zero for a leaf.
     #[must_use]
     pub fn residual(&self, id: SpanId) -> f64 {
-        let covered: f64 = self
-            .children(id)
-            .iter()
-            .map(|child| self.seconds(*child))
-            .sum();
-        (self.seconds(id) - covered).max(0.0)
+        (self.seconds(id) - self.covered(id)).max(0.0)
     }
 
     /// Grafts a [`PhaseProfile`]'s per-phase totals as children of
@@ -169,9 +203,10 @@ impl SpanTree {
 
     /// A flame-style attribution table: one row per span, indented by
     /// depth, with milliseconds and the share of the parent's time; a
-    /// synthetic `(other)` row absorbs each parent's residual so child
-    /// rows sum exactly to the parent's measured time. Structure is
-    /// deterministic; the numbers are wall-clock.
+    /// synthetic `(other)` row absorbs each parent's residual so the
+    /// covered child rows sum exactly to the parent's measured time.
+    /// Lane rows end in `[lane]`. Structure is deterministic; the numbers
+    /// are wall-clock.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -184,7 +219,8 @@ impl SpanTree {
 
     fn render_node(&self, out: &mut String, id: SpanId, depth: usize, parent_seconds: Option<f64>) {
         let seconds = self.seconds(id);
-        let label = format!("{}{}", "  ".repeat(depth), self.label(id));
+        let lane = if self.is_lane(id) { " [lane]" } else { "" };
+        let label = format!("{}{}{lane}", "  ".repeat(depth), self.label(id));
         let share = match parent_seconds {
             Some(p) if p > 0.0 => format!("{:.1}%", 100.0 * seconds / p),
             _ => "-".to_string(),
@@ -248,6 +284,21 @@ mod tests {
         let root = tree.root("epoch", 0.1);
         tree.child(root, "drain", 0.2);
         assert_eq!(tree.residual(root), 0.0);
+    }
+
+    #[test]
+    fn only_the_longest_lane_covers_the_parent() {
+        let mut tree = SpanTree::new();
+        let root = tree.root("epoch", 1.0);
+        tree.child(root, "pump", 0.25);
+        let a = tree.lane(root, "drain shard 0", 0.5);
+        tree.lane(root, "drain shard 1", 0.375);
+        assert!(tree.is_lane(a));
+        // Summed as serial children the drains would overrun the epoch.
+        assert!((tree.covered(root) - 0.75).abs() < 1e-12);
+        assert!((tree.residual(root) - 0.25).abs() < 1e-12);
+        assert!(tree.render().contains("drain shard 1 [lane]"));
+        assert!(!tree.render().contains("pump [lane]"));
     }
 
     #[test]
