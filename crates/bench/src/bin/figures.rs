@@ -600,10 +600,20 @@ fn run_bench(options: &Options) -> Result<(), CoreError> {
         total_serial_seconds: total_serial,
         total_parallel_seconds: total_parallel,
     };
-    std::fs::write("BENCH_pipeline.json", report.to_json()).map_err(|_| {
-        CoreError::Inconsistent {
-            reason: "cannot write BENCH_pipeline.json",
-        }
+    // The schema check on every bench run: the document must read back
+    // into the same report and render to the same bytes.
+    let json = report.to_json();
+    if BenchReport::from_json(&json)
+        .map(|back| back.to_json())
+        .as_deref()
+        != Ok(json.as_str())
+    {
+        return Err(CoreError::Inconsistent {
+            reason: "BENCH_pipeline.json does not round-trip through BenchReport::from_json",
+        });
+    }
+    std::fs::write("BENCH_pipeline.json", json).map_err(|_| CoreError::Inconsistent {
+        reason: "cannot write BENCH_pipeline.json",
     })?;
     match total_parallel {
         Some(total_parallel) => println!(

@@ -1,15 +1,17 @@
-//! The `BENCH_pipeline.json` report: a typed schema with hand-rolled JSON
-//! serialization and parsing.
+//! The `BENCH_pipeline.json` report: a typed schema over the workspace's
+//! one JSON codec ([`nfv_telemetry::json`]).
 //!
-//! The workspace deliberately vendors no JSON crate, but the bench
-//! pipeline's output is consumed by `ci.sh` (the overhead and throughput
-//! gates) and by humans diffing committed runs — so the shape is a
-//! contract worth round-tripping. [`BenchReport::to_json`] writes the
-//! exact layout the `figures bench` command commits, and
-//! [`BenchReport::from_json`] parses it back (tolerating arbitrary field
-//! order and whitespace) through a minimal recursive-descent JSON parser.
+//! The bench pipeline's output is consumed by `ci.sh` (the overhead and
+//! throughput gates) and by humans diffing committed runs — so the shape
+//! is a contract worth round-tripping. [`BenchReport::to_json`] builds a
+//! [`Json`] tree and writes it in the codec's pretty layout, the one the
+//! `figures bench` command commits; [`BenchReport::from_json`] parses it
+//! back (tolerating arbitrary field order and whitespace) through the
+//! codec's field reader, which refuses unknown fields.
 
 use std::fmt;
+
+use nfv_telemetry::json::{Fields, Json, JsonError};
 
 /// Everything `figures bench` measures, in file order.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,191 +240,19 @@ impl fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
-fn err<T>(reason: impl Into<String>) -> Result<T, ReportError> {
-    Err(ReportError {
-        reason: reason.into(),
-    })
+impl From<JsonError> for ReportError {
+    fn from(error: JsonError) -> Self {
+        Self {
+            reason: error.to_string(),
+        }
+    }
 }
 
 impl BenchReport {
     /// Renders the report as the committed `BENCH_pipeline.json` layout.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let opt = |v: Option<f64>| v.map_or_else(|| "null".to_owned(), |s| format!("{s:.6}"));
-        let mut json = String::new();
-        let _ = writeln!(json, "{{");
-        let _ = writeln!(json, "  \"host_threads\": {},", self.host_threads);
-        let _ = writeln!(json, "  \"bench_threads\": {},", self.bench_threads);
-        let _ = writeln!(json, "  \"reps_placement\": {},", self.reps_placement);
-        let _ = writeln!(json, "  \"reps_scheduling\": {},", self.reps_scheduling);
-        let _ = writeln!(json, "  \"seed\": {},", self.seed);
-        let s = &self.search;
-        let _ = writeln!(json, "  \"search\": {{");
-        let _ = writeln!(json, "    \"engine\": \"{}\",", s.engine);
-        let _ = writeln!(json, "    \"population\": {},", s.population);
-        let _ = writeln!(json, "    \"generations\": {},", s.generations);
-        let _ = writeln!(
-            json,
-            "    \"generations_per_second\": {:.3},",
-            s.generations_per_second
-        );
-        let _ = writeln!(json, "    \"best_objective\": {:.6},", s.best_objective);
-        let _ = writeln!(json, "    \"bfdsu_objective\": {},", opt(s.bfdsu_objective));
-        let _ = writeln!(
-            json,
-            "    \"objective_delta_vs_bfdsu\": {}",
-            opt(s.objective_delta_vs_bfdsu)
-        );
-        let _ = writeln!(json, "  }},");
-        let t = &self.telemetry;
-        let _ = writeln!(json, "  \"telemetry\": {{");
-        let _ = writeln!(json, "    \"replay_reps\": {},", t.replay_reps);
-        let _ = writeln!(
-            json,
-            "    \"measurement_floor_seconds\": {:.6},",
-            t.measurement_floor_seconds
-        );
-        let _ = writeln!(
-            json,
-            "    \"replay_plain_seconds\": {:.6},",
-            t.replay_plain_seconds
-        );
-        let _ = writeln!(
-            json,
-            "    \"replay_disabled_seconds\": {:.6},",
-            t.replay_disabled_seconds
-        );
-        let _ = writeln!(
-            json,
-            "    \"replay_enabled_seconds\": {:.6},",
-            t.replay_enabled_seconds
-        );
-        let _ = writeln!(
-            json,
-            "    \"disabled_overhead_pct\": {:.3},",
-            t.disabled_overhead_pct
-        );
-        let _ = writeln!(
-            json,
-            "    \"enabled_overhead_pct\": {:.3}",
-            t.enabled_overhead_pct
-        );
-        let _ = writeln!(json, "  }},");
-        let r = &self.replay;
-        let _ = writeln!(json, "  \"replay\": {{");
-        let _ = writeln!(json, "    \"events\": {},", r.events);
-        let _ = writeln!(json, "    \"horizon_seconds\": {:.6},", r.horizon_seconds);
-        let _ = writeln!(json, "    \"streamed_seconds\": {:.6},", r.streamed_seconds);
-        let _ = writeln!(json, "    \"batched_seconds\": {:.6},", r.batched_seconds);
-        let _ = writeln!(
-            json,
-            "    \"streamed_events_per_second\": {:.3},",
-            r.streamed_events_per_second
-        );
-        let _ = writeln!(
-            json,
-            "    \"events_per_second\": {:.3},",
-            r.events_per_second
-        );
-        let _ = writeln!(json, "    \"admitted\": {},", r.admitted);
-        let _ = writeln!(json, "    \"rejected\": {}", r.rejected);
-        let _ = writeln!(json, "  }},");
-        let _ = writeln!(json, "  \"fleet\": [");
-        for (i, point) in self.fleet.iter().enumerate() {
-            let comma = if i + 1 < self.fleet.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "    {{\"tenants\": {}, \"shards\": {}, \"events\": {}, \"seconds\": {:.6}, \
-                 \"events_per_second\": {:.3}, \"migrations\": {}, \"migration_cost\": {}, \
-                 \"mean_rebalance_latency_seconds\": {:.6}}}{comma}",
-                point.tenants,
-                point.shards,
-                point.events,
-                point.seconds,
-                point.events_per_second,
-                point.migrations,
-                point.migration_cost,
-                point.mean_rebalance_latency_seconds,
-            );
-        }
-        let _ = writeln!(json, "  ],");
-        let rec = &self.recovery;
-        let _ = writeln!(json, "  \"recovery\": {{");
-        let _ = writeln!(json, "    \"fault_rate\": {:.3},", rec.fault_rate);
-        let _ = writeln!(json, "    \"faults_injected\": {},", rec.faults_injected);
-        let _ = writeln!(json, "    \"checkpoints\": {},", rec.checkpoints);
-        let _ = writeln!(json, "    \"restores\": {},", rec.restores);
-        let _ = writeln!(json, "    \"events_replayed\": {},", rec.events_replayed);
-        let _ = writeln!(json, "    \"availability\": {:.6},", rec.availability);
-        let _ = writeln!(json, "    \"byte_identical\": {},", rec.byte_identical);
-        let _ = writeln!(
-            json,
-            "    \"undisturbed_seconds\": {:.6},",
-            rec.undisturbed_seconds
-        );
-        let _ = writeln!(json, "    \"faulted_seconds\": {:.6},", rec.faulted_seconds);
-        let _ = writeln!(
-            json,
-            "    \"faulted_events_per_second\": {:.3},",
-            rec.faulted_events_per_second
-        );
-        let _ = writeln!(
-            json,
-            "    \"recovery_overhead_pct\": {:.3}",
-            rec.recovery_overhead_pct
-        );
-        let _ = writeln!(json, "  }},");
-        let o = &self.obs;
-        let _ = writeln!(json, "  \"obs\": {{");
-        let _ = writeln!(json, "    \"tenants\": {},", o.tenants);
-        let _ = writeln!(json, "    \"shards\": {},", o.shards);
-        let _ = writeln!(json, "    \"reps\": {},", o.reps);
-        let _ = writeln!(json, "    \"events\": {},", o.events);
-        let _ = writeln!(json, "    \"plain_seconds\": {:.6},", o.plain_seconds);
-        let _ = writeln!(json, "    \"enabled_seconds\": {:.6},", o.enabled_seconds);
-        let _ = writeln!(
-            json,
-            "    \"plain_events_per_second\": {:.3},",
-            o.plain_events_per_second
-        );
-        let _ = writeln!(
-            json,
-            "    \"enabled_events_per_second\": {:.3},",
-            o.enabled_events_per_second
-        );
-        let _ = writeln!(
-            json,
-            "    \"enabled_overhead_pct\": {:.3},",
-            o.enabled_overhead_pct
-        );
-        let _ = writeln!(json, "    \"registry_metrics\": {},", o.registry_metrics);
-        let _ = writeln!(json, "    \"slo_violations\": {}", o.slo_violations);
-        let _ = writeln!(json, "  }},");
-        let _ = writeln!(json, "  \"figures\": [");
-        for (i, figure) in self.figures.iter().enumerate() {
-            let comma = if i + 1 < self.figures.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{}\", \"serial_seconds\": {:.6}, \"parallel_seconds\": {}}}{comma}",
-                figure.name,
-                figure.serial_seconds,
-                opt(figure.parallel_seconds),
-            );
-        }
-        let _ = writeln!(json, "  ],");
-        let _ = writeln!(
-            json,
-            "  \"total_serial_seconds\": {:.6},",
-            self.total_serial_seconds
-        );
-        let _ = writeln!(
-            json,
-            "  \"total_parallel_seconds\": {}",
-            opt(self.total_parallel_seconds)
-        );
-        let _ = writeln!(json, "}}");
-        json
+        self.to_tree().to_pretty()
     }
 
     /// Parses a report back from its JSON form. Field order and
@@ -431,495 +261,152 @@ impl BenchReport {
     ///
     /// # Errors
     ///
-    /// Returns a [`ReportError`] naming the malformed or missing field.
+    /// Returns a [`ReportError`] naming the malformed, missing or unknown
+    /// field.
     pub fn from_json(text: &str) -> Result<Self, ReportError> {
-        let value = Json::parse(text)?;
-        let root = value.object("report")?;
-        let search = root.child("search")?;
-        let telemetry = root.child("telemetry")?;
-        let replay = root.child("replay")?;
-        let recovery = root.child("recovery")?;
-        let obs = root.child("obs")?;
-        let mut fleet = Vec::new();
-        for (i, entry) in root.array("fleet")?.iter().enumerate() {
-            let point = entry.object(&format!("fleet[{i}]"))?;
-            fleet.push(FleetPointBench {
-                tenants: point.integer("tenants")?,
-                shards: point.integer("shards")?,
-                events: point.integer("events")?,
-                seconds: point.number("seconds")?,
-                events_per_second: point.number("events_per_second")?,
-                migrations: point.integer("migrations")?,
-                migration_cost: point.integer("migration_cost")?,
-                mean_rebalance_latency_seconds: point.number("mean_rebalance_latency_seconds")?,
-            });
-            point.deny_unknown(&[
-                "tenants",
-                "shards",
-                "events",
-                "seconds",
-                "events_per_second",
-                "migrations",
-                "migration_cost",
-                "mean_rebalance_latency_seconds",
-            ])?;
-        }
-        let mut figures = Vec::new();
-        for (i, entry) in root.array("figures")?.iter().enumerate() {
-            let figure = entry.object(&format!("figures[{i}]"))?;
-            figures.push(FigureTiming {
-                name: figure.string("name")?,
-                serial_seconds: figure.number("serial_seconds")?,
-                parallel_seconds: figure.nullable_number("parallel_seconds")?,
-            });
-            figure.deny_unknown(&["name", "serial_seconds", "parallel_seconds"])?;
-        }
-        let report = Self {
-            host_threads: root.integer("host_threads")?,
-            bench_threads: root.integer("bench_threads")?,
-            reps_placement: root.integer("reps_placement")?,
-            reps_scheduling: root.integer("reps_scheduling")?,
-            seed: root.integer("seed")?,
-            search: SearchReport {
-                engine: search.string("engine")?,
-                population: search.integer("population")?,
-                generations: search.integer("generations")?,
-                generations_per_second: search.number("generations_per_second")?,
-                best_objective: search.number("best_objective")?,
-                bfdsu_objective: search.nullable_number("bfdsu_objective")?,
-                objective_delta_vs_bfdsu: search.nullable_number("objective_delta_vs_bfdsu")?,
-            },
-            telemetry: TelemetryReport {
-                replay_reps: telemetry.integer("replay_reps")?,
-                measurement_floor_seconds: telemetry.number("measurement_floor_seconds")?,
-                replay_plain_seconds: telemetry.number("replay_plain_seconds")?,
-                replay_disabled_seconds: telemetry.number("replay_disabled_seconds")?,
-                replay_enabled_seconds: telemetry.number("replay_enabled_seconds")?,
-                disabled_overhead_pct: telemetry.number("disabled_overhead_pct")?,
-                enabled_overhead_pct: telemetry.number("enabled_overhead_pct")?,
-            },
-            replay: ReplayReport {
-                events: replay.integer("events")?,
-                horizon_seconds: replay.number("horizon_seconds")?,
-                streamed_seconds: replay.number("streamed_seconds")?,
-                batched_seconds: replay.number("batched_seconds")?,
-                streamed_events_per_second: replay.number("streamed_events_per_second")?,
-                events_per_second: replay.number("events_per_second")?,
-                admitted: replay.integer("admitted")?,
-                rejected: replay.integer("rejected")?,
-            },
-            fleet,
-            recovery: RecoveryBench {
-                fault_rate: recovery.number("fault_rate")?,
-                faults_injected: recovery.integer("faults_injected")?,
-                checkpoints: recovery.integer("checkpoints")?,
-                restores: recovery.integer("restores")?,
-                events_replayed: recovery.integer("events_replayed")?,
-                availability: recovery.number("availability")?,
-                byte_identical: recovery.boolean("byte_identical")?,
-                undisturbed_seconds: recovery.number("undisturbed_seconds")?,
-                faulted_seconds: recovery.number("faulted_seconds")?,
-                faulted_events_per_second: recovery.number("faulted_events_per_second")?,
-                recovery_overhead_pct: recovery.number("recovery_overhead_pct")?,
-            },
-            obs: ObsBench {
-                tenants: obs.integer("tenants")?,
-                shards: obs.integer("shards")?,
-                reps: obs.integer("reps")?,
-                events: obs.integer("events")?,
-                plain_seconds: obs.number("plain_seconds")?,
-                enabled_seconds: obs.number("enabled_seconds")?,
-                plain_events_per_second: obs.number("plain_events_per_second")?,
-                enabled_events_per_second: obs.number("enabled_events_per_second")?,
-                enabled_overhead_pct: obs.number("enabled_overhead_pct")?,
-                registry_metrics: obs.integer("registry_metrics")?,
-                slo_violations: obs.integer("slo_violations")?,
-            },
-            figures,
-            total_serial_seconds: root.number("total_serial_seconds")?,
-            total_parallel_seconds: root.nullable_number("total_parallel_seconds")?,
-        };
-        recovery.deny_unknown(&[
-            "fault_rate",
-            "faults_injected",
-            "checkpoints",
-            "restores",
-            "events_replayed",
-            "availability",
-            "byte_identical",
-            "undisturbed_seconds",
-            "faulted_seconds",
-            "faulted_events_per_second",
-            "recovery_overhead_pct",
-        ])?;
-        obs.deny_unknown(&[
-            "tenants",
-            "shards",
-            "reps",
-            "events",
-            "plain_seconds",
-            "enabled_seconds",
-            "plain_events_per_second",
-            "enabled_events_per_second",
-            "enabled_overhead_pct",
-            "registry_metrics",
-            "slo_violations",
-        ])?;
-        search.deny_unknown(&[
-            "engine",
-            "population",
-            "generations",
-            "generations_per_second",
-            "best_objective",
-            "bfdsu_objective",
-            "objective_delta_vs_bfdsu",
-        ])?;
-        telemetry.deny_unknown(&[
-            "replay_reps",
-            "measurement_floor_seconds",
-            "replay_plain_seconds",
-            "replay_disabled_seconds",
-            "replay_enabled_seconds",
-            "disabled_overhead_pct",
-            "enabled_overhead_pct",
-        ])?;
-        replay.deny_unknown(&[
-            "events",
-            "horizon_seconds",
-            "streamed_seconds",
-            "batched_seconds",
-            "streamed_events_per_second",
-            "events_per_second",
-            "admitted",
-            "rejected",
-        ])?;
-        root.deny_unknown(&[
-            "host_threads",
-            "bench_threads",
-            "reps_placement",
-            "reps_scheduling",
-            "seed",
-            "search",
-            "telemetry",
-            "replay",
-            "fleet",
-            "recovery",
-            "obs",
-            "figures",
-            "total_serial_seconds",
-            "total_parallel_seconds",
-        ])?;
-        Ok(report)
+        Ok(Json::parse(text)?.fields()?.decode(Section::from_tree)?)
     }
 }
 
-/// A parsed JSON value — just enough of the grammar for the report.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
+/// One object of the report, written as a [`Json`] tree and read back
+/// through a [`Fields`] reader that refuses fields it was not asked for.
+trait Section: Sized {
+    fn to_tree(&self) -> Json;
+    fn from_tree(fields: &mut Fields<'_>) -> Result<Self, JsonError>;
 }
 
-/// An object plus the path it sits at, for error messages.
-struct ObjectAt<'a> {
-    path: String,
-    fields: &'a [(String, Json)],
-}
+/// Implements [`Section`] from one list of a struct's fields, in file
+/// order, each tagged with how the layout prints it: `u64` exactly,
+/// `f6`/`f3` at 6/3 decimals (seconds and ratios / rates and percents),
+/// `opt6` as `f6` or `null`, `bool`, `str`, a nested `section`, or a
+/// `list` of sections (one line per element).
+macro_rules! section {
+    ($ty:ident { $($field:ident: $kind:ident),* $(,)? }) => {
+        impl Section for $ty {
+            fn to_tree(&self) -> Json {
+                Json::object([$((stringify!($field), section!(@write $kind, &self.$field))),*])
+            }
 
-impl Json {
-    /// Parses a complete JSON document (trailing whitespace allowed).
-    fn parse(text: &str) -> Result<Self, ReportError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn object(&self, path: &str) -> Result<ObjectAt<'_>, ReportError> {
-        match self {
-            Self::Object(fields) => Ok(ObjectAt {
-                path: path.to_owned(),
-                fields,
-            }),
-            other => err(format!("`{path}` is not an object: {other:?}")),
-        }
-    }
-}
-
-impl ObjectAt<'_> {
-    fn get(&self, key: &str) -> Result<&Json, ReportError> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| ReportError {
-                reason: format!("`{}` is missing field `{key}`", self.path),
-            })
-    }
-
-    fn child(&self, key: &str) -> Result<ObjectAt<'_>, ReportError> {
-        self.get(key)?.object(&format!("{}.{key}", self.path))
-    }
-
-    fn array(&self, key: &str) -> Result<&[Json], ReportError> {
-        match self.get(key)? {
-            Json::Array(items) => Ok(items),
-            other => err(format!("`{}.{key}` is not an array: {other:?}", self.path)),
-        }
-    }
-
-    fn number(&self, key: &str) -> Result<f64, ReportError> {
-        match self.get(key)? {
-            Json::Number(n) => Ok(*n),
-            other => err(format!("`{}.{key}` is not a number: {other:?}", self.path)),
-        }
-    }
-
-    fn nullable_number(&self, key: &str) -> Result<Option<f64>, ReportError> {
-        match self.get(key)? {
-            Json::Number(n) => Ok(Some(*n)),
-            Json::Null => Ok(None),
-            other => err(format!(
-                "`{}.{key}` is not a number or null: {other:?}",
-                self.path
-            )),
-        }
-    }
-
-    fn integer(&self, key: &str) -> Result<u64, ReportError> {
-        let n = self.number(key)?;
-        if n.fract() != 0.0 || !(0.0..=u64::MAX as f64).contains(&n) {
-            return err(format!(
-                "`{}.{key}` is not a non-negative integer: {n}",
-                self.path
-            ));
-        }
-        Ok(n as u64)
-    }
-
-    fn string(&self, key: &str) -> Result<String, ReportError> {
-        match self.get(key)? {
-            Json::String(s) => Ok(s.clone()),
-            other => err(format!("`{}.{key}` is not a string: {other:?}", self.path)),
-        }
-    }
-
-    fn boolean(&self, key: &str) -> Result<bool, ReportError> {
-        match self.get(key)? {
-            Json::Bool(b) => Ok(*b),
-            other => err(format!("`{}.{key}` is not a boolean: {other:?}", self.path)),
-        }
-    }
-
-    fn deny_unknown(&self, known: &[&str]) -> Result<(), ReportError> {
-        for (key, _) in self.fields {
-            if !known.contains(&key.as_str()) {
-                return err(format!("`{}` has unknown field `{key}`", self.path));
+            fn from_tree(fields: &mut Fields<'_>) -> Result<Self, JsonError> {
+                Ok(Self { $($field: section!(@read $kind, fields, stringify!($field))),* })
             }
         }
-        Ok(())
-    }
+    };
+    (@write u64, $v:expr) => { Json::u64(*$v) };
+    (@write f6, $v:expr) => { Json::fixed(*$v, 6) };
+    (@write f3, $v:expr) => { Json::fixed(*$v, 3) };
+    (@write opt6, $v:expr) => { $v.map_or(Json::Null, |v| Json::fixed(v, 6)) };
+    (@write bool, $v:expr) => { Json::Bool(*$v) };
+    (@write str, $v:expr) => { Json::String($v.clone()) };
+    (@write section, $v:expr) => { $v.to_tree() };
+    (@write list, $v:expr) => { Json::Array($v.iter().map(Section::to_tree).collect()) };
+    (@read u64, $f:ident, $key:expr) => { $f.uint($key)? };
+    (@read f6, $f:ident, $key:expr) => { $f.f64($key)? };
+    (@read f3, $f:ident, $key:expr) => { $f.f64($key)? };
+    (@read opt6, $f:ident, $key:expr) => { $f.nullable_f64($key)? };
+    (@read bool, $f:ident, $key:expr) => { $f.bool($key)? };
+    (@read str, $f:ident, $key:expr) => { $f.str($key)?.to_owned() };
+    (@read section, $f:ident, $key:expr) => { $f.child($key)?.decode(Section::from_tree)? };
+    (@read list, $f:ident, $key:expr) => {
+        $f.array($key)?
+            .into_iter()
+            .map(|item| item.decode(Section::from_tree))
+            .collect::<Result<_, _>>()?
+    };
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
-        *pos += 1;
-    }
-}
+section!(BenchReport {
+    host_threads: u64,
+    bench_threads: u64,
+    reps_placement: u64,
+    reps_scheduling: u64,
+    seed: u64,
+    search: section,
+    telemetry: section,
+    replay: section,
+    fleet: list,
+    recovery: section,
+    obs: section,
+    figures: list,
+    total_serial_seconds: f6,
+    total_parallel_seconds: opt6,
+});
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), ReportError> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        err(format!(
-            "expected `{}` at byte {}, found {:?}",
-            byte as char,
-            *pos,
-            bytes.get(*pos).map(|&b| b as char)
-        ))
-    }
-}
+section!(SearchReport {
+    engine: str,
+    population: u64,
+    generations: u64,
+    generations_per_second: f3,
+    best_objective: f6,
+    bfdsu_objective: opt6,
+    objective_delta_vs_bfdsu: opt6,
+});
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ReportError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        other => err(format!(
-            "unexpected {:?} at byte {}",
-            other.map(|&b| b as char),
-            *pos
-        )),
-    }
-}
+section!(TelemetryReport {
+    replay_reps: u64,
+    measurement_floor_seconds: f6,
+    replay_plain_seconds: f6,
+    replay_disabled_seconds: f6,
+    replay_enabled_seconds: f6,
+    disabled_overhead_pct: f3,
+    enabled_overhead_pct: f3,
+});
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, ReportError> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        err(format!("expected `{literal}` at byte {}", *pos))
-    }
-}
+section!(ReplayReport {
+    events: u64,
+    horizon_seconds: f6,
+    streamed_seconds: f6,
+    batched_seconds: f6,
+    streamed_events_per_second: f3,
+    events_per_second: f3,
+    admitted: u64,
+    rejected: u64,
+});
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ReportError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    text.parse::<f64>()
-        .map(Json::Number)
-        .map_err(|_| ReportError {
-            reason: format!("invalid number `{text}` at byte {start}"),
-        })
-}
+section!(FleetPointBench {
+    tenants: u64,
+    shards: u64,
+    events: u64,
+    seconds: f6,
+    events_per_second: f3,
+    migrations: u64,
+    migration_cost: u64,
+    mean_rebalance_latency_seconds: f6,
+});
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ReportError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return err("unterminated string"),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let escaped = bytes.get(*pos).copied();
-                *pos += 1;
-                match escaped {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| ReportError {
-                                reason: "truncated \\u escape".to_owned(),
-                            })?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| ReportError {
-                            reason: format!("invalid \\u escape `{hex}`"),
-                        })?;
-                        // Surrogate pairs don't appear in this report's
-                        // strings; reject rather than mis-decode.
-                        let c = char::from_u32(code).ok_or_else(|| ReportError {
-                            reason: format!("unsupported \\u escape `{hex}`"),
-                        })?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    other => {
-                        return err(format!("invalid escape {:?}", other.map(|b| b as char)));
-                    }
-                }
-            }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the full scalar.
-                let text = std::str::from_utf8(&bytes[*pos..]).map_err(|_| ReportError {
-                    reason: "invalid UTF-8 in string".to_owned(),
-                })?;
-                let c = text.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
+section!(RecoveryBench {
+    fault_rate: f3,
+    faults_injected: u64,
+    checkpoints: u64,
+    restores: u64,
+    events_replayed: u64,
+    availability: f6,
+    byte_identical: bool,
+    undisturbed_seconds: f6,
+    faulted_seconds: f6,
+    faulted_events_per_second: f3,
+    recovery_overhead_pct: f3,
+});
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ReportError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            other => {
-                return err(format!(
-                    "expected `,` or `]` at byte {}, found {:?}",
-                    *pos,
-                    other.map(|&b| b as char)
-                ))
-            }
-        }
-    }
-}
+section!(ObsBench {
+    tenants: u64,
+    shards: u64,
+    reps: u64,
+    events: u64,
+    plain_seconds: f6,
+    enabled_seconds: f6,
+    plain_events_per_second: f3,
+    enabled_events_per_second: f3,
+    enabled_overhead_pct: f3,
+    registry_metrics: u64,
+    slo_violations: u64,
+});
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ReportError> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            other => {
-                return err(format!(
-                    "expected `,` or `}}` at byte {}, found {:?}",
-                    *pos,
-                    other.map(|&b| b as char)
-                ))
-            }
-        }
-    }
-}
+section!(FigureTiming {
+    name: str,
+    serial_seconds: f6,
+    parallel_seconds: opt6,
+});
 
 #[cfg(test)]
 mod tests {
@@ -1168,5 +655,36 @@ mod tests {
         ] {
             assert!(BenchReport::from_json(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn awkward_names_are_escaped_and_round_trip() {
+        let mut report = sample(true);
+        report.search.engine = "g\"a\\\n".to_owned();
+        report.figures[0].name = "fig \"5\"\tC:\\runs\n".to_owned();
+        let json = report.to_json();
+        assert!(json.contains(r#""engine": "g\"a\\\n""#), "{json}");
+        assert_eq!(BenchReport::from_json(&json), Ok(report));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_round_trip_exactly() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let mut report = sample(false);
+            report.seed = seed;
+            report.replay.events = seed;
+            let json = report.to_json();
+            assert!(json.contains(&format!("\"seed\": {seed},")));
+            assert_eq!(BenchReport::from_json(&json), Ok(report));
+        }
+    }
+
+    #[test]
+    fn committed_bench_file_round_trips_byte_for_byte() {
+        // Pins the layout `ci.sh` reads with `sed`/`grep`: one field per
+        // line, fleet and figure entries inline.
+        let committed = include_str!("../../../BENCH_pipeline.json");
+        let report = BenchReport::from_json(committed).unwrap();
+        assert_eq!(report.to_json(), committed);
     }
 }

@@ -2,13 +2,13 @@
 
 use std::fmt;
 
-use nfv_telemetry::json::{self, JsonError, JsonObject};
+use nfv_telemetry::json::{self, Fields, JsonError, JsonObject};
 use serde::{Deserialize, Serialize};
 
 /// A snapshot of the controller's counters and derived statistics, taken
 /// at a point in virtual time. Snapshots of two same-seed runs are
 /// identical field-for-field (see the determinism tests).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControllerReport {
     /// Virtual time of the snapshot, seconds.
     pub time: f64,
@@ -125,33 +125,44 @@ impl ControllerReport {
     /// recorder's post-mortem dumps. Names are stable snake_case slugs.
     #[must_use]
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("admitted", self.admitted),
-            ("rejected", self.rejected),
-            ("departed", self.departed),
-            ("shed", self.shed),
-            ("migrated_failover", self.migrated_failover),
-            ("migrated_reopt", self.migrated_reopt),
-            ("migrated_replace", self.migrated_replace),
-            ("ticks", self.ticks),
-            ("reopts_applied", self.reopts_applied),
-            ("reopts_skipped", self.reopts_skipped),
-            ("instances_added", self.instances_added),
-            ("instances_retired", self.instances_retired),
-            ("relocations", self.relocations),
-            ("replaces_applied", self.replaces_applied),
-            ("replaces_aborted", self.replaces_aborted),
-            ("node_downs", self.node_downs),
-            ("node_ups", self.node_ups),
-            ("stale_outage_events", self.stale_outage_events),
-            ("emergency_replaces", self.emergency_replaces),
-            ("retries_attempted", self.retries_attempted),
-            ("retry_admitted", self.retry_admitted),
-            ("retry_abandoned", self.retry_abandoned),
-            ("refines_applied", self.refines_applied),
-            ("refines_rejected", self.refines_rejected),
-            ("retry_pending", self.retry_pending),
-            ("active", self.active),
+        // The report is a few hundred bytes of scalars: copying it lets
+        // the one name list below serve reads as well as writes.
+        self.clone()
+            .counters_mut()
+            .map(|(name, value)| (name, *value))
+            .to_vec()
+    }
+
+    /// The counters by name, writable — the one list of counter names,
+    /// shared by [`counters`](Self::counters) and the JSON codec.
+    fn counters_mut(&mut self) -> [(&'static str, &mut u64); 26] {
+        [
+            ("admitted", &mut self.admitted),
+            ("rejected", &mut self.rejected),
+            ("departed", &mut self.departed),
+            ("shed", &mut self.shed),
+            ("migrated_failover", &mut self.migrated_failover),
+            ("migrated_reopt", &mut self.migrated_reopt),
+            ("migrated_replace", &mut self.migrated_replace),
+            ("ticks", &mut self.ticks),
+            ("reopts_applied", &mut self.reopts_applied),
+            ("reopts_skipped", &mut self.reopts_skipped),
+            ("instances_added", &mut self.instances_added),
+            ("instances_retired", &mut self.instances_retired),
+            ("relocations", &mut self.relocations),
+            ("replaces_applied", &mut self.replaces_applied),
+            ("replaces_aborted", &mut self.replaces_aborted),
+            ("node_downs", &mut self.node_downs),
+            ("node_ups", &mut self.node_ups),
+            ("stale_outage_events", &mut self.stale_outage_events),
+            ("emergency_replaces", &mut self.emergency_replaces),
+            ("retries_attempted", &mut self.retries_attempted),
+            ("retry_admitted", &mut self.retry_admitted),
+            ("retry_abandoned", &mut self.retry_abandoned),
+            ("refines_applied", &mut self.refines_applied),
+            ("refines_rejected", &mut self.refines_rejected),
+            ("retry_pending", &mut self.retry_pending),
+            ("active", &mut self.active),
         ]
     }
 
@@ -202,39 +213,18 @@ impl ControllerReport {
     }
 
     /// Encodes the snapshot as one flat JSON object (one journal line),
-    /// for diffing and archiving runs. Floats round-trip exactly
-    /// (shortest representation, non-finite values as strings).
+    /// for diffing and archiving runs: `time`, the counters in
+    /// [`counters`](Self::counters) order, then the latency fields. Floats
+    /// round-trip exactly (shortest representation, non-finite values as
+    /// strings).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
-        obj.field_f64("time", self.time)
-            .field_u64("admitted", self.admitted)
-            .field_u64("rejected", self.rejected)
-            .field_u64("departed", self.departed)
-            .field_u64("shed", self.shed)
-            .field_u64("migrated_failover", self.migrated_failover)
-            .field_u64("migrated_reopt", self.migrated_reopt)
-            .field_u64("migrated_replace", self.migrated_replace)
-            .field_u64("ticks", self.ticks)
-            .field_u64("reopts_applied", self.reopts_applied)
-            .field_u64("reopts_skipped", self.reopts_skipped)
-            .field_u64("instances_added", self.instances_added)
-            .field_u64("instances_retired", self.instances_retired)
-            .field_u64("relocations", self.relocations)
-            .field_u64("replaces_applied", self.replaces_applied)
-            .field_u64("replaces_aborted", self.replaces_aborted)
-            .field_u64("node_downs", self.node_downs)
-            .field_u64("node_ups", self.node_ups)
-            .field_u64("stale_outage_events", self.stale_outage_events)
-            .field_u64("emergency_replaces", self.emergency_replaces)
-            .field_u64("retries_attempted", self.retries_attempted)
-            .field_u64("retry_admitted", self.retry_admitted)
-            .field_u64("retry_abandoned", self.retry_abandoned)
-            .field_u64("refines_applied", self.refines_applied)
-            .field_u64("refines_rejected", self.refines_rejected)
-            .field_u64("retry_pending", self.retry_pending)
-            .field_u64("active", self.active)
-            .field_f64("mean_latency", self.mean_latency)
+        obj.field_f64("time", self.time);
+        for (name, value) in self.counters() {
+            obj.field_u64(name, value);
+        }
+        obj.field_f64("mean_latency", self.mean_latency)
             .field_f64("current_latency", self.current_latency)
             .field_f64("peak_utilization", self.peak_utilization);
         obj.finish()
@@ -244,43 +234,21 @@ impl ControllerReport {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] when the line is malformed or a field is missing.
+    /// [`JsonError`] when the line is malformed, a field is missing, or
+    /// an unknown field is present.
     pub fn from_json(line: &str) -> Result<Self, JsonError> {
-        let fields = json::parse_object(line)?;
-        let missing = |message| JsonError { message, at: 0 };
-        let u64_of = |key| json::get_u64(&fields, key).ok_or(missing("missing integer field"));
-        let f64_of = |key| json::get_f64(&fields, key).ok_or(missing("missing float field"));
-        Ok(Self {
-            time: f64_of("time")?,
-            admitted: u64_of("admitted")?,
-            rejected: u64_of("rejected")?,
-            departed: u64_of("departed")?,
-            shed: u64_of("shed")?,
-            migrated_failover: u64_of("migrated_failover")?,
-            migrated_reopt: u64_of("migrated_reopt")?,
-            migrated_replace: u64_of("migrated_replace")?,
-            ticks: u64_of("ticks")?,
-            reopts_applied: u64_of("reopts_applied")?,
-            reopts_skipped: u64_of("reopts_skipped")?,
-            instances_added: u64_of("instances_added")?,
-            instances_retired: u64_of("instances_retired")?,
-            relocations: u64_of("relocations")?,
-            replaces_applied: u64_of("replaces_applied")?,
-            replaces_aborted: u64_of("replaces_aborted")?,
-            node_downs: u64_of("node_downs")?,
-            node_ups: u64_of("node_ups")?,
-            stale_outage_events: u64_of("stale_outage_events")?,
-            emergency_replaces: u64_of("emergency_replaces")?,
-            retries_attempted: u64_of("retries_attempted")?,
-            retry_admitted: u64_of("retry_admitted")?,
-            retry_abandoned: u64_of("retry_abandoned")?,
-            refines_applied: u64_of("refines_applied")?,
-            refines_rejected: u64_of("refines_rejected")?,
-            retry_pending: u64_of("retry_pending")?,
-            active: u64_of("active")?,
-            mean_latency: f64_of("mean_latency")?,
-            current_latency: f64_of("current_latency")?,
-            peak_utilization: f64_of("peak_utilization")?,
+        Fields::new(&json::parse_object(line)?).decode(|f| {
+            let mut report = Self {
+                time: f.f64("time")?,
+                mean_latency: f.f64("mean_latency")?,
+                current_latency: f.f64("current_latency")?,
+                peak_utilization: f.f64("peak_utilization")?,
+                ..Self::default()
+            };
+            for (name, value) in report.counters_mut() {
+                *value = f.uint(name)?;
+            }
+            Ok(report)
         })
     }
 }

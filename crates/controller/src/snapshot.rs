@@ -18,15 +18,16 @@
 //! rewind: after a rewind, `checkpoint().to_jsonl()` equals the document
 //! taken at the mark.
 //!
-//! The serialized form is hand-rolled (the vendored `serde` is
-//! marker-only, matching `bench/report.rs`): a line-oriented document of
-//! flat JSON objects. Line 1 is a versioned header carrying the section
-//! lengths, so the parser is strictly positional; floats that must
-//! round-trip bit-exactly travel either through the journal's
-//! shortest-round-trip formatting (scalars) or as hexadecimal IEEE-754
-//! bit patterns (sample streams and rate fields). Unknown versions and
-//! shape mismatches are refused with a typed [`SnapshotError`], never a
-//! panic — a corrupt checkpoint must degrade gracefully.
+//! The serialized form goes through the workspace's one JSON codec
+//! ([`nfv_telemetry::json`]): a line-oriented document of flat JSON
+//! objects, each decoded by a field reader that refuses unknown keys.
+//! Line 1 is a versioned header carrying the section lengths, so the
+//! parser is strictly positional; floats that must round-trip
+//! bit-exactly travel either through the journal's shortest-round-trip
+//! formatting (scalars) or as hexadecimal IEEE-754 bit patterns (sample
+//! streams and rate fields). Unknown versions and shape mismatches are
+//! refused with a typed [`SnapshotError`], never a panic — a corrupt
+//! checkpoint must degrade gracefully.
 //!
 //! [`Controller`]: crate::Controller
 //! [`Controller::restore`]: crate::Controller::restore
@@ -34,7 +35,7 @@
 use std::fmt::Write as _;
 
 use nfv_model::{ArrivalRate, DeliveryProbability, Request, RequestId, ServiceChain, VnfId};
-use nfv_telemetry::json::{self, JsonObject, JsonValue};
+use nfv_telemetry::json::{self, Fields, Json, JsonError, JsonObject};
 
 use crate::controller::Counters;
 use crate::ledger::SlabExport;
@@ -229,176 +230,112 @@ impl ControllerSnapshot {
     ///
     /// [`SnapshotError::UnsupportedVersion`] for a foreign version,
     /// [`SnapshotError::Malformed`] (with the 1-based line number) for
-    /// anything that fails to parse or carries an out-of-domain value.
+    /// anything that fails to parse, carries an out-of-domain value, or
+    /// carries a field this version does not write.
     pub fn from_jsonl(document: &str) -> Result<Self, SnapshotError> {
-        let mut lines = document.lines().enumerate();
-        let mut next = |section: &'static str| -> Result<(usize, &str), SnapshotError> {
-            let _ = section;
-            lines
-                .next()
-                .map(|(at, line)| (at + 1, line))
-                .ok_or(SnapshotError::Malformed {
-                    line: 0,
-                    reason: "document truncated",
-                })
-        };
-        let parse = |at: usize, line: &str| -> Result<Vec<(String, JsonValue)>, SnapshotError> {
-            json::parse_object(line).map_err(|_| SnapshotError::Malformed {
-                line: at,
-                reason: "invalid JSON object",
+        let mut lines = (1..).zip(document.lines());
+        let mut next = || {
+            lines.next().ok_or(SnapshotError::Malformed {
+                line: 0,
+                reason: "document truncated",
             })
         };
 
-        let (at, line) = next("header")?;
-        let header = parse(at, line)?;
-        let header_u64 = |key: &'static str| {
-            json::get_u64(&header, key).ok_or(SnapshotError::Malformed {
-                line: at,
-                reason: "missing header integer",
-            })
-        };
-        let header_f64 = |key: &'static str| {
-            json::get_f64(&header, key).ok_or(SnapshotError::Malformed {
-                line: at,
-                reason: "missing header float",
-            })
-        };
-        let version = header_u64("snapshot_version")?;
+        let (at, line) = next()?;
+        let header = json::parse_object(line).map_err(malformed(at))?;
+        let version: u64 = Fields::new(&header)
+            .uint("snapshot_version")
+            .map_err(malformed(at))?;
         if version != u64::from(SNAPSHOT_VERSION) {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
-        let clock = header_f64("clock")?;
-        let latency_integral = header_f64("latency_integral")?;
-        let current_latency = header_f64("current_latency")?;
-        let retry_seq = header_u64("retry_seq")?;
-        let count = |key: &'static str| -> Result<usize, SnapshotError> {
-            usize::try_from(header_u64(key)?).map_err(|_| SnapshotError::Malformed {
-                line: at,
-                reason: "section length overflows usize",
-            })
-        };
-        let n_latency = count("latency_samples")?;
-        let n_utilization = count("utilization_samples")?;
-        let n_reports = count("reports")?;
-        let n_slabs = count("slabs")?;
-        let n_active = count("active")?;
-        let n_retry = count("retry_entries")?;
-        let has_cluster = header_u64("cluster")? != 0;
+        let (mut live, counts, has_cluster) = read(at, &header, |h| {
+            h.uint::<u64>("snapshot_version")?;
+            let live = LiveState {
+                clock: h.f64("clock")?,
+                latency_integral: h.f64("latency_integral")?,
+                current_latency: h.f64("current_latency")?,
+                retry_seq: h.uint("retry_seq")?,
+                ..LiveState::default()
+            };
+            let counts: [usize; 6] = [
+                h.uint("latency_samples")?,
+                h.uint("utilization_samples")?,
+                h.uint("reports")?,
+                h.uint("slabs")?,
+                h.uint("active")?,
+                h.uint("retry_entries")?,
+            ];
+            Ok((live, counts, h.uint::<u64>("cluster")? != 0))
+        })?;
+        let [n_latency, n_utilization, n_reports, n_slabs, n_active, n_retry] = counts;
 
-        let (at, line) = next("counters")?;
-        let counters = parse(at, line)?
-            .into_iter()
-            .map(|(key, value)| match value {
-                JsonValue::Raw(raw) => {
-                    raw.parse::<u64>()
-                        .map(|v| (key, v))
-                        .map_err(|_| SnapshotError::Malformed {
-                            line: at,
-                            reason: "counter value is not a u64",
-                        })
+        let (at, line) = next()?;
+        let fields = json::parse_object(line).map_err(malformed(at))?;
+        let counters = read(at, &fields, |f| {
+            fields
+                .iter()
+                .map(|(name, _)| Ok((name.clone(), f.uint(name)?)))
+                .collect()
+        })?;
+
+        let mut samples = |expected: usize| {
+            let (at, line) = next()?;
+            decode(at, line, |f| {
+                let values = encoded(f, "bits", parse_bits_list)?;
+                if values.len() == expected {
+                    Ok(values)
+                } else {
+                    Err(f.invalid("bits", "sample count disagrees with header"))
                 }
-                JsonValue::Str(_) => Err(SnapshotError::Malformed {
-                    line: at,
-                    reason: "counter value is not a u64",
-                }),
             })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let mut samples = |expected: usize| -> Result<Vec<f64>, SnapshotError> {
-            let (at, line) = next("samples")?;
-            let fields = parse(at, line)?;
-            let bits = json::get_str(&fields, "bits").ok_or(SnapshotError::Malformed {
-                line: at,
-                reason: "missing sample bits",
-            })?;
-            let values = parse_bits_list(bits)
-                .map_err(|reason| SnapshotError::Malformed { line: at, reason })?;
-            if values.len() != expected {
-                return Err(SnapshotError::Malformed {
-                    line: at,
-                    reason: "sample count disagrees with header",
-                });
-            }
-            Ok(values)
         };
         let latency_samples = samples(n_latency)?;
         let utilization_samples = samples(n_utilization)?;
 
-        let mut reports = Vec::with_capacity(n_reports);
+        let mut reports = Vec::new();
         for _ in 0..n_reports {
-            let (at, line) = next("report")?;
-            reports.push(ControllerReport::from_json(line).map_err(|_| {
-                SnapshotError::Malformed {
-                    line: at,
-                    reason: "invalid report line",
-                }
+            let (at, line) = next()?;
+            reports.push(ControllerReport::from_json(line).map_err(malformed(at))?);
+        }
+        for _ in 0..n_slabs {
+            let (at, line) = next()?;
+            live.slabs.push(decode(at, line, |f| {
+                Ok(SlabExport {
+                    vnf: f.uint("vnf")?,
+                    host_down: f.uint::<u64>("host_down")? != 0,
+                    down: encoded(f, "down", parse_u32_list)?,
+                    members: encoded(f, "members", parse_member_runs)?,
+                })
             })?);
         }
-
-        let mut slabs = Vec::with_capacity(n_slabs);
-        for _ in 0..n_slabs {
-            let (at, line) = next("slab")?;
-            let fields = parse(at, line)?;
-            let bad = |reason| SnapshotError::Malformed { line: at, reason };
-            let vnf = json::get_u64(&fields, "vnf")
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or(bad("missing slab vnf id"))?;
-            let host_down = json::get_u64(&fields, "host_down").ok_or(bad("missing host_down"))?;
-            let down =
-                parse_u32_list(json::get_str(&fields, "down").ok_or(bad("missing down depths"))?)
-                    .map_err(bad)?;
-            let members = parse_member_runs(
-                json::get_str(&fields, "members").ok_or(bad("missing member runs"))?,
-            )
-            .map_err(bad)?;
-            slabs.push(SlabExport {
-                vnf,
-                down,
-                host_down: host_down != 0,
-                members,
-            });
-        }
-
-        let mut active = Vec::with_capacity(n_active);
         for _ in 0..n_active {
-            let (at, line) = next("active request")?;
-            let (request, key) = parse_request_line(at, &parse(at, line)?)?;
-            if key.is_some() {
-                return Err(SnapshotError::Malformed {
-                    line: at,
-                    reason: "active request carries retry keys",
-                });
-            }
-            active.push(request);
+            let (at, line) = next()?;
+            live.active
+                .push(decode(at, line, |f| match read_request(f)? {
+                    (request, None) => Ok(request),
+                    (_, Some(_)) => Err(f.invalid("due_bits", "active request carries retry keys")),
+                })?);
         }
-
-        let mut retry_entries = Vec::with_capacity(n_retry);
         for _ in 0..n_retry {
-            let (at, line) = next("retry entry")?;
-            let (request, key) = parse_request_line(at, &parse(at, line)?)?;
-            let (due_bits, seq, attempt) = key.ok_or(SnapshotError::Malformed {
-                line: at,
-                reason: "retry entry misses its wheel key",
-            })?;
-            retry_entries.push((due_bits, seq, attempt, request));
+            let (at, line) = next()?;
+            live.retry_entries
+                .push(decode(at, line, |f| match read_request(f)? {
+                    (request, Some((due_bits, seq, attempt))) => {
+                        Ok((due_bits, seq, attempt, request))
+                    }
+                    (_, None) => Err(f.invalid("due_bits", "retry entry misses its wheel key")),
+                })?);
         }
-
-        let cluster = if has_cluster {
-            let (at, line) = next("cluster")?;
-            let fields = parse(at, line)?;
-            let bad = |reason| SnapshotError::Malformed { line: at, reason };
-            let assignment = parse_u32_list(
-                json::get_str(&fields, "assignment").ok_or(bad("missing assignment"))?,
-            )
-            .map_err(bad)?;
-            let node_down = parse_u32_list(
-                json::get_str(&fields, "node_down").ok_or(bad("missing node_down depths"))?,
-            )
-            .map_err(bad)?;
-            Some((assignment, node_down))
-        } else {
-            None
-        };
+        if has_cluster {
+            let (at, line) = next()?;
+            live.cluster = Some(decode(at, line, |f| {
+                Ok((
+                    encoded(f, "assignment", parse_u32_list)?,
+                    encoded(f, "node_down", parse_u32_list)?,
+                ))
+            })?);
+        }
 
         if lines.next().is_some() {
             return Err(SnapshotError::Malformed {
@@ -408,22 +345,50 @@ impl ControllerSnapshot {
         }
 
         Ok(Self {
-            live: LiveState {
-                clock,
-                latency_integral,
-                current_latency,
-                slabs,
-                active,
-                retry_seq,
-                retry_entries,
-                cluster,
-            },
+            live,
             counters,
             latency_samples,
             utilization_samples,
             reports,
         })
     }
+}
+
+/// Maps a codec error on line `at` (1-based) to a [`SnapshotError`].
+fn malformed(at: usize) -> impl Fn(JsonError) -> SnapshotError {
+    move |error| SnapshotError::Malformed {
+        line: at,
+        reason: error.message(),
+    }
+}
+
+/// Reads line `at`'s parsed fields through `body`, then refuses any field
+/// `body` left unread.
+fn read<T>(
+    at: usize,
+    fields: &[(String, Json)],
+    body: impl FnOnce(&mut Fields<'_>) -> Result<T, JsonError>,
+) -> Result<T, SnapshotError> {
+    Fields::new(fields).decode(body).map_err(malformed(at))
+}
+
+/// Parses line `at` as one flat object and [`read`]s it through `body`.
+fn decode<T>(
+    at: usize,
+    line: &str,
+    body: impl FnOnce(&mut Fields<'_>) -> Result<T, JsonError>,
+) -> Result<T, SnapshotError> {
+    read(at, &json::parse_object(line).map_err(malformed(at))?, body)
+}
+
+/// A string field holding one of the in-string sub-encodings below.
+fn encoded<T>(
+    f: &mut Fields<'_>,
+    key: &str,
+    parse: fn(&str) -> Result<T, &'static str>,
+) -> Result<T, JsonError> {
+    let text = f.str(key)?;
+    parse(text).map_err(|reason| f.invalid(key, reason))
 }
 
 /// Finite floats as space-separated hexadecimal IEEE-754 bit patterns —
@@ -518,20 +483,22 @@ fn parse_member_runs(text: &str) -> Result<Vec<MemberRun>, &'static str> {
         .collect()
 }
 
+/// A retry entry's position in the wheel: `(due_bits, entry_seq, attempt)`.
+type WheelKey = (u64, u64, u32);
+
 /// One request as a flat object; retry entries append their wheel key.
-fn request_line(request: &Request, key: Option<(u64, u64, u32)>) -> String {
-    let mut chain = String::new();
-    for (i, vnf) in request.chain().as_slice().iter().enumerate() {
-        if i > 0 {
-            chain.push(' ');
-        }
-        let _ = write!(chain, "{}", vnf.index());
-    }
+fn request_line(request: &Request, key: Option<WheelKey>) -> String {
+    let chain: Vec<u32> = request
+        .chain()
+        .as_slice()
+        .iter()
+        .map(|vnf| vnf.index())
+        .collect();
     let mut obj = JsonObject::new();
     obj.field_u64("id", u64::from(request.id().index()))
         .field_u64("rate_bits", request.arrival_rate().value().to_bits())
         .field_u64("delivery_bits", request.delivery().value().to_bits())
-        .field_str("chain", &chain);
+        .field_str("chain", &u32_list(&chain));
     if let Some((due_bits, seq, attempt)) = key {
         obj.field_u64("due_bits", due_bits)
             .field_u64("entry_seq", seq)
@@ -540,46 +507,29 @@ fn request_line(request: &Request, key: Option<(u64, u64, u32)>) -> String {
     obj.finish()
 }
 
-type ParsedRequest = (Request, Option<(u64, u64, u32)>);
-
-fn parse_request_line(
-    at: usize,
-    fields: &[(String, JsonValue)],
-) -> Result<ParsedRequest, SnapshotError> {
-    let bad = |reason| SnapshotError::Malformed { line: at, reason };
-    let id = json::get_u64(fields, "id")
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or(bad("missing request id"))?;
-    let rate = ArrivalRate::new(f64::from_bits(
-        json::get_u64(fields, "rate_bits").ok_or(bad("missing rate bits"))?,
-    ))
-    .map_err(|_| bad("request rate out of domain"))?;
-    let delivery = DeliveryProbability::new(f64::from_bits(
-        json::get_u64(fields, "delivery_bits").ok_or(bad("missing delivery bits"))?,
-    ))
-    .map_err(|_| bad("request delivery out of domain"))?;
-    let chain = json::get_str(fields, "chain")
-        .ok_or(bad("missing chain"))?
-        .split_ascii_whitespace()
-        .map(|word| word.parse::<u32>().map(VnfId::new))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|_| bad("invalid chain entry"))?;
-    let chain = ServiceChain::new(chain).map_err(|_| bad("invalid service chain"))?;
-    let request = Request::new(RequestId::new(id), chain, rate, delivery);
-    let key = match (
-        json::get_u64(fields, "due_bits"),
-        json::get_u64(fields, "entry_seq"),
-        json::get_u64(fields, "attempt"),
-    ) {
-        (Some(due_bits), Some(seq), Some(attempt)) => Some((
-            due_bits,
-            seq,
-            u32::try_from(attempt).map_err(|_| bad("attempt overflows u32"))?,
-        )),
-        (None, None, None) => None,
-        _ => return Err(bad("partial retry wheel key")),
+/// Reads one request line; retry entries also carry their wheel key.
+fn read_request(f: &mut Fields<'_>) -> Result<(Request, Option<WheelKey>), JsonError> {
+    let id = RequestId::new(f.uint("id")?);
+    let rate = ArrivalRate::new(f64::from_bits(f.uint("rate_bits")?))
+        .map_err(|_| f.invalid("rate_bits", "request rate out of domain"))?;
+    let delivery = DeliveryProbability::new(f64::from_bits(f.uint("delivery_bits")?))
+        .map_err(|_| f.invalid("delivery_bits", "request delivery out of domain"))?;
+    let chain = encoded(f, "chain", parse_chain)?;
+    let key = if f.has("due_bits") {
+        Some((
+            f.uint("due_bits")?,
+            f.uint("entry_seq")?,
+            f.uint("attempt")?,
+        ))
+    } else {
+        None
     };
-    Ok((request, key))
+    Ok((Request::new(id, chain, rate, delivery), key))
+}
+
+fn parse_chain(text: &str) -> Result<ServiceChain, &'static str> {
+    let vnfs = parse_u32_list(text)?.into_iter().map(VnfId::new).collect();
+    ServiceChain::new(vnfs).map_err(|_| "invalid service chain")
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use nfv_model::{NodeId, RequestId, VnfId};
 
-use crate::json::{self, JsonError, JsonObject};
+use crate::json::{self, Fields, JsonError, JsonObject};
 
 /// Which controller tick phase a re-optimization record belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -374,117 +374,103 @@ impl TraceEvent {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] when the line is malformed or misses a field the
-    /// labelled variant requires.
-    #[allow(clippy::too_many_lines)]
+    /// [`JsonError`] when the line is malformed, misses a field the
+    /// labelled variant requires, or carries one it does not.
     pub fn from_json(line: &str) -> Result<Self, JsonError> {
-        let fields = json::parse_object(line)?;
-        let missing = |message| JsonError { message, at: 0 };
-        let str_of = |key| {
-            json::get_str(&fields, key)
-                .map(String::from)
-                .ok_or(missing("missing string field"))
+        let phase = |f: &mut Fields| {
+            ReoptPhase::from_name(f.str("phase")?)
+                .ok_or_else(|| f.invalid("phase", "unknown phase"))
         };
-        let u64_of = |key| json::get_u64(&fields, key).ok_or(missing("missing integer field"));
-        let f64_of = |key| json::get_f64(&fields, key).ok_or(missing("missing float field"));
-        let id_u32 = |key| {
-            u64_of(key).and_then(|v| u32::try_from(v).map_err(|_| missing("id out of range")))
-        };
-        let phase_of = || {
-            json::get_str(&fields, "phase")
-                .and_then(ReoptPhase::from_name)
-                .ok_or(missing("missing or unknown phase"))
-        };
-        let label = json::get_str(&fields, "event").ok_or(missing("missing event label"))?;
-        let kind = match label {
-            "Admit" => EventKind::Admit {
-                request: RequestId::new(id_u32("request")?),
-                hops: u64_of("hops")?,
-            },
-            "Reject" => EventKind::Reject {
-                request: RequestId::new(id_u32("request")?),
-                cause: str_of("cause")?,
-            },
-            "Shed" => EventKind::Shed {
-                request: RequestId::new(id_u32("request")?),
-                cause: str_of("cause")?,
-            },
-            "RetryScheduled" => EventKind::RetryScheduled {
-                request: RequestId::new(id_u32("request")?),
-                attempt: u64_of("attempt")?,
-                due: f64_of("due")?,
-            },
-            "RetryAdmitted" => EventKind::RetryAdmitted {
-                request: RequestId::new(id_u32("request")?),
-                attempt: u64_of("attempt")?,
-            },
-            "RetryAbandoned" => EventKind::RetryAbandoned {
-                request: RequestId::new(id_u32("request")?),
-                cause: str_of("cause")?,
-            },
-            "InstanceDown" => EventKind::InstanceDown {
-                vnf: VnfId::new(id_u32("vnf")?),
-                slot: u64_of("slot")?,
-                migrated: u64_of("migrated")?,
-                shed: u64_of("shed")?,
-            },
-            "InstanceUp" => EventKind::InstanceUp {
-                vnf: VnfId::new(id_u32("vnf")?),
-                slot: u64_of("slot")?,
-            },
-            "NodeDown" => EventKind::NodeDown {
-                node: NodeId::new(id_u32("node")?),
-                vnfs_lost: u64_of("vnfs_lost")?,
-                shed: u64_of("shed")?,
-            },
-            "NodeUp" => EventKind::NodeUp {
-                node: NodeId::new(id_u32("node")?),
-                vnfs_restored: u64_of("vnfs_restored")?,
-            },
-            "EmergencyReplace" => EventKind::EmergencyReplace {
-                node: NodeId::new(id_u32("node")?),
-                instances_added: u64_of("instances_added")?,
-                relocations: u64_of("relocations")?,
-            },
-            "ReoptCommit" => EventKind::ReoptCommit {
-                phase: phase_of()?,
-                migrations: u64_of("migrations")?,
-                instances_added: u64_of("instances_added")?,
-                instances_retired: u64_of("instances_retired")?,
-                relocations: u64_of("relocations")?,
-                predicted_gain: f64_of("predicted_gain")?,
-                realized_gain: f64_of("realized_gain")?,
-            },
-            "ReoptRejected" => EventKind::ReoptRejected {
-                phase: phase_of()?,
-                cause: str_of("cause")?,
-                predicted_gain: f64_of("predicted_gain")?,
-                required_gain: f64_of("required_gain")?,
-            },
-            "CheckpointTaken" => EventKind::CheckpointTaken {
-                shard: u64_of("shard")?,
-                tenants: u64_of("tenants")?,
-            },
-            "FaultInjected" => EventKind::FaultInjected {
-                cause: str_of("cause")?,
-                shard: u64_of("shard")?,
-                tenant: u64_of("tenant")?,
-            },
-            "ShardRestored" => EventKind::ShardRestored {
-                shard: u64_of("shard")?,
-                replayed: u64_of("replayed")?,
-            },
-            "TenantQuarantined" => EventKind::TenantQuarantined {
-                tenant: u64_of("tenant")?,
-                cause: str_of("cause")?,
-            },
-            _ => return Err(missing("unknown event label")),
-        };
-        Ok(Self {
-            seq: u64_of("seq")?,
-            time: f64_of("time")?,
-            tick: u64_of("tick")?,
-            kind,
+        Fields::new(&json::parse_object(line)?).decode(|f| {
+            Ok(Self {
+                seq: f.uint("seq")?,
+                time: f.f64("time")?,
+                tick: f.uint("tick")?,
+                kind: match f.str("event")? {
+                    "Admit" => EventKind::Admit {
+                        request: RequestId::new(f.uint("request")?),
+                        hops: f.uint("hops")?,
+                    },
+                    "Reject" => EventKind::Reject {
+                        request: RequestId::new(f.uint("request")?),
+                        cause: f.str("cause")?.to_owned(),
+                    },
+                    "Shed" => EventKind::Shed {
+                        request: RequestId::new(f.uint("request")?),
+                        cause: f.str("cause")?.to_owned(),
+                    },
+                    "RetryScheduled" => EventKind::RetryScheduled {
+                        request: RequestId::new(f.uint("request")?),
+                        attempt: f.uint("attempt")?,
+                        due: f.f64("due")?,
+                    },
+                    "RetryAdmitted" => EventKind::RetryAdmitted {
+                        request: RequestId::new(f.uint("request")?),
+                        attempt: f.uint("attempt")?,
+                    },
+                    "RetryAbandoned" => EventKind::RetryAbandoned {
+                        request: RequestId::new(f.uint("request")?),
+                        cause: f.str("cause")?.to_owned(),
+                    },
+                    "InstanceDown" => EventKind::InstanceDown {
+                        vnf: VnfId::new(f.uint("vnf")?),
+                        slot: f.uint("slot")?,
+                        migrated: f.uint("migrated")?,
+                        shed: f.uint("shed")?,
+                    },
+                    "InstanceUp" => EventKind::InstanceUp {
+                        vnf: VnfId::new(f.uint("vnf")?),
+                        slot: f.uint("slot")?,
+                    },
+                    "NodeDown" => EventKind::NodeDown {
+                        node: NodeId::new(f.uint("node")?),
+                        vnfs_lost: f.uint("vnfs_lost")?,
+                        shed: f.uint("shed")?,
+                    },
+                    "NodeUp" => EventKind::NodeUp {
+                        node: NodeId::new(f.uint("node")?),
+                        vnfs_restored: f.uint("vnfs_restored")?,
+                    },
+                    "EmergencyReplace" => EventKind::EmergencyReplace {
+                        node: NodeId::new(f.uint("node")?),
+                        instances_added: f.uint("instances_added")?,
+                        relocations: f.uint("relocations")?,
+                    },
+                    "ReoptCommit" => EventKind::ReoptCommit {
+                        phase: phase(f)?,
+                        migrations: f.uint("migrations")?,
+                        instances_added: f.uint("instances_added")?,
+                        instances_retired: f.uint("instances_retired")?,
+                        relocations: f.uint("relocations")?,
+                        predicted_gain: f.f64("predicted_gain")?,
+                        realized_gain: f.f64("realized_gain")?,
+                    },
+                    "ReoptRejected" => EventKind::ReoptRejected {
+                        phase: phase(f)?,
+                        cause: f.str("cause")?.to_owned(),
+                        predicted_gain: f.f64("predicted_gain")?,
+                        required_gain: f.f64("required_gain")?,
+                    },
+                    "CheckpointTaken" => EventKind::CheckpointTaken {
+                        shard: f.uint("shard")?,
+                        tenants: f.uint("tenants")?,
+                    },
+                    "FaultInjected" => EventKind::FaultInjected {
+                        cause: f.str("cause")?.to_owned(),
+                        shard: f.uint("shard")?,
+                        tenant: f.uint("tenant")?,
+                    },
+                    "ShardRestored" => EventKind::ShardRestored {
+                        shard: f.uint("shard")?,
+                        replayed: f.uint("replayed")?,
+                    },
+                    "TenantQuarantined" => EventKind::TenantQuarantined {
+                        tenant: f.uint("tenant")?,
+                        cause: f.str("cause")?.to_owned(),
+                    },
+                    _ => return Err(f.invalid("event", "unknown event label")),
+                },
+            })
         })
     }
 

@@ -1,14 +1,16 @@
-//! Exporters: Prometheus text exposition and a hand-rolled JSON dump.
+//! Exporters: Prometheus text exposition and a JSON dump.
 //!
-//! The vendored `serde` stand-in has no serializers, so — like
-//! `bench/report.rs` — both formats are written by hand. Output is a
+//! The Prometheus text is written here; the JSON dump is a [`Json`] tree
+//! rendered by the workspace's one codec ([`crate::json`]). Output is a
 //! pure function of the [`Registry`] contents (`BTreeMap` iteration,
 //! shortest-round-trip float formatting), so exports inherit the
 //! registry's byte-identity across thread counts.
 
 use std::fmt::Write as _;
 
-use crate::json::escape_into;
+use nfv_metrics::Histogram;
+
+use crate::json::Json;
 use crate::registry::Registry;
 
 /// Escapes a Prometheus label value: `\` → `\\`, `"` → `\"`, newline →
@@ -135,75 +137,34 @@ impl Registry {
         out
     }
 
-    /// The registry as one hand-rolled JSON object:
+    /// The registry as one compact JSON object:
     /// `{"counters":{…},"gauges":{…},"histograms":{…}}` with histogram
     /// values as nested objects. Byte-stable for identical contents.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (key, value)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_key(&mut out, key);
-            let _ = write!(out, "{value}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (key, value)) in self.gauges().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_key(&mut out, key);
-            push_json_f64(&mut out, value);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (key, histogram)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_key(&mut out, key);
+        let histogram_json = |histogram: &Histogram| {
             let (lo, _) = histogram.bin_range(0);
             let (_, hi) = histogram.bin_range(histogram.bins() - 1);
-            out.push_str("{\"lo\":");
-            push_json_f64(&mut out, lo);
-            out.push_str(",\"hi\":");
-            push_json_f64(&mut out, hi);
-            let _ = write!(
-                out,
-                ",\"underflow\":{},\"overflow\":{},\"bins\":[",
-                histogram.underflow(),
-                histogram.overflow()
-            );
-            for j in 0..histogram.bins() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", histogram.bin_count(j));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn push_json_key(out: &mut String, key: &str) {
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\":");
-}
-
-/// JSON floats follow the journal convention: shortest-round-trip for
-/// finite values, tagged strings for non-finite ones.
-fn push_json_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value}");
-    } else if value.is_nan() {
-        out.push_str("\"nan\"");
-    } else if value > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
+            let bins = (0..histogram.bins())
+                .map(|j| Json::u64(histogram.bin_count(j)))
+                .collect();
+            Json::object([
+                ("lo", Json::f64(lo)),
+                ("hi", Json::f64(hi)),
+                ("underflow", Json::u64(histogram.underflow())),
+                ("overflow", Json::u64(histogram.overflow())),
+                ("bins", Json::Array(bins)),
+            ])
+        };
+        let counters = self.counters().map(|(k, v)| (k, Json::u64(v)));
+        let gauges = self.gauges().map(|(k, v)| (k, Json::f64(v)));
+        let histograms = self.histograms().map(|(k, h)| (k, histogram_json(h)));
+        Json::object([
+            ("counters", Json::object(counters)),
+            ("gauges", Json::object(gauges)),
+            ("histograms", Json::object(histograms)),
+        ])
+        .to_compact()
     }
 }
 

@@ -16,9 +16,13 @@
 //!   bounded memory and in-order cross-worker merging;
 //! - a fleet-facing **observability plane**: causal [`SpanTree`]s for
 //!   flame-style wall-clock attribution, a deterministic metrics
-//!   [`Registry`] with Prometheus text and hand-rolled JSON exporters,
-//!   and a bounded flight-recorder [`Postmortem`] window captured for
-//!   quarantined tenants.
+//!   [`Registry`] with Prometheus text and JSON exporters, and a bounded
+//!   flight-recorder [`Postmortem`] window captured for quarantined
+//!   tenants.
+//!
+//! The [`json`] module is the workspace's one JSON codec: the journal,
+//! the controller snapshots, the registry dump and the bench report all
+//! encode and decode through it.
 //!
 //! # Determinism contract
 //!

@@ -3,7 +3,7 @@
 use std::io::Write;
 
 use crate::event::{TraceEvent, CSV_HEADER};
-use crate::json::{get_u64, parse_object, JsonObject};
+use crate::json::{parse_object, Fields, JsonObject};
 use crate::ring::Ring;
 
 /// Schema version stamped at the top of every JSONL/CSV journal file.
@@ -55,15 +55,17 @@ impl std::error::Error for JournalError {}
 pub fn parse_jsonl_journal(text: &str) -> Result<Vec<TraceEvent>, JournalError> {
     let mut lines = text.lines();
     let header = lines.next().ok_or(JournalError::MissingHeader)?;
-    let fields = parse_object(header).map_err(|_| JournalError::MissingHeader)?;
-    let found = get_u64(&fields, "schema_version").ok_or(JournalError::MissingHeader)?;
-    let found = u32::try_from(found).map_err(|_| JournalError::MissingHeader)?;
+    let missing = |_| JournalError::MissingHeader;
+    let fields = parse_object(header).map_err(missing)?;
+    let mut header = Fields::new(&fields);
+    let found = header.uint("schema_version").map_err(missing)?;
     if found != JOURNAL_SCHEMA_VERSION {
         return Err(JournalError::SchemaMismatch {
             found,
             expected: JOURNAL_SCHEMA_VERSION,
         });
     }
+    header.finish().map_err(missing)?;
     lines
         .enumerate()
         .map(|(i, line)| {

@@ -3,7 +3,7 @@
 //! tenant names — quotes, backslashes, control bytes, non-ASCII — and
 //! never produce unparseable output.
 
-use nfv_telemetry::json::{get_str, parse_object, JsonObject};
+use nfv_telemetry::json::{parse_object, Fields, Json, JsonObject};
 use nfv_telemetry::{escape_label, unescape_label, Registry};
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ proptest! {
         obj.field_str("cause", &value);
         let text = obj.finish();
         let fields = parse_object(&text).unwrap();
-        prop_assert_eq!(get_str(&fields, "cause"), Some(value.as_str()));
+        prop_assert_eq!(Fields::new(&fields).str("cause"), Ok(value.as_str()));
     }
 
     #[test]
@@ -90,6 +90,28 @@ proptest! {
             .field_u64("tenant", 3)
             .field_str("cause", &cause);
         let fields = parse_object(&obj.finish()).unwrap();
-        prop_assert_eq!(get_str(&fields, "cause"), Some(cause.as_str()));
+        prop_assert_eq!(Fields::new(&fields).str("cause"), Ok(cause.as_str()));
+    }
+
+    #[test]
+    fn registry_json_parses_and_keeps_labeled_keys(
+        indices in prop::collection::vec(0usize..PALETTE.len(), 0..16),
+    ) {
+        // The registry dump goes through the one codec: whatever the
+        // label value, the document parses and the labeled keys of every
+        // section come back verbatim.
+        let value = assemble(&indices);
+        let key = Registry::labeled("events_total", "tenant", &value);
+        let mut reg = Registry::new();
+        reg.counter_add(key.as_str(), 2);
+        reg.gauge_set(key.as_str(), f64::INFINITY);
+        reg.histogram_record(key.as_str(), 0.0, 1.0, 2, 0.25);
+        let tree = Json::parse(&reg.to_json()).unwrap();
+        let mut root = tree.fields().unwrap();
+        prop_assert_eq!(root.child("counters").unwrap().uint::<u64>(&key), Ok(2));
+        prop_assert_eq!(root.child("gauges").unwrap().f64(&key), Ok(f64::INFINITY));
+        let mut histogram = root.child("histograms").unwrap().child(&key).unwrap();
+        prop_assert_eq!(histogram.uint::<u64>("underflow"), Ok(0));
+        prop_assert_eq!(root.finish(), Ok(()));
     }
 }
