@@ -1,15 +1,18 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run -p nfv-bench --bin figures --release -- <command> [--reps N] [--seed S] [--threads T]
+//! cargo run -p nfv-bench --bin figures --release -- <command> [--reps N] [--seed S] [--csv DIR] [--threads T] [--tenants N]
 //! ```
 //!
-//! Commands: `fig5` … `fig16`, `tail`, `joint`, `churn`, `anytime`,
-//! `validate`, `ablation`, `all`, `bench`. Each prints the series the
-//! corresponding
-//! paper figure plots (`churn` prints the online control-plane
-//! comparison), plus a shape-check summary (who wins, by how much) for
-//! comparison with `EXPERIMENTS.md`.
+//! Commands, in `all` order: `fig5` … `fig14`, `tail`, `fig15`, `fig16`,
+//! `headline`, `online`, `quality`, `anytime`, `joint`, `churn`,
+//! `resilience`, `fleet`, `chaos`, `validate`, `ablation`, `trace`,
+//! `profile`, `obs`; then `all` (every command in that order) and
+//! `bench`. Each figure command prints the series the corresponding
+//! paper figure plots (`churn`, `resilience`, `fleet` and `chaos` print
+//! the online control-plane, fleet and recovery comparisons), plus a
+//! shape-check summary (who wins, by how much) for comparison with
+//! `EXPERIMENTS.md`.
 //!
 //! Three observability commands close the `all` list; their output is
 //! wall-clock- or journal-shaped rather than a paper figure: `trace`
@@ -32,7 +35,6 @@
 
 use std::env;
 use std::fmt::Write as _;
-use std::io::BufWriter;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -51,7 +53,10 @@ use nfv_parallel::{available_threads, default_threads, par_map_indexed, set_defa
 use nfv_placement::{Bfd, Bfdsu, Ffd, Placer};
 use nfv_scheduling::{Cga, KkForward, Rckk, RoundRobin, Scheduler};
 use nfv_search::SearchConfig;
-use nfv_telemetry::{CsvSink, EventKind, JsonlSink, Telemetry, TraceEvent};
+use nfv_telemetry::{
+    csv_journal, csv_journal_rows, jsonl_journal, parse_jsonl_journal, EventKind, Telemetry,
+    TraceEvent,
+};
 use rand::SeedableRng;
 
 struct Options {
@@ -1110,9 +1115,12 @@ fn print_resilience(out: &mut String, seed: u64) -> Result<(), CoreError> {
 
 /// `figures trace`: one emergency/retry resilience run under an enabled
 /// telemetry session. The outage timeline below is reconstructed from
-/// the *serialized* JSONL journal — every line is parsed back through
-/// `TraceEvent::from_json` first — so the command also proves the
-/// journal round-trips with causality intact.
+/// the journal's JSONL *file* text, parsed back through
+/// `parse_jsonl_journal`, so the command also proves the journal
+/// round-trips with causality intact. With `--csv DIR` that same text,
+/// the CSV journal and the per-tick series are written to `DIR`; a
+/// journal the ring truncated, or a failed write, is an error rather
+/// than a partial file.
 fn print_trace(out: &mut String, seed: u64) -> Result<(), CoreError> {
     let point = resilience::ResiliencePoint::base();
     let _ = writeln!(
@@ -1122,29 +1130,15 @@ fn print_trace(out: &mut String, seed: u64) -> Result<(), CoreError> {
         point.horizon, point.nodes, point.node_mtbf, point.node_mttr, point.tick_period
     );
     let mut tel = Telemetry::enabled();
-    if let Some(dir) = CSV_DIR.get() {
-        match std::fs::File::create(dir.join("trace_resilience.jsonl")) {
-            Ok(file) => tel.add_sink(Box::new(JsonlSink::new(BufWriter::new(file)))),
-            Err(err) => eprintln!("jsonl sink failed: {err}"),
-        }
-        match std::fs::File::create(dir.join("trace_resilience.csv")) {
-            Ok(file) => tel.add_sink(Box::new(CsvSink::new(BufWriter::new(file)))),
-            Err(err) => eprintln!("csv sink failed: {err}"),
-        }
-    }
     let outcome = resilience::trace_run(&point, seed, &mut tel)?;
     let artifacts = tel.finish();
 
-    // Re-read the journal from its serialized form: a journal that
-    // cannot be parsed back is not a journal.
-    let mut events = Vec::with_capacity(artifacts.events.len());
-    for line in artifacts.journal_jsonl().lines() {
-        events.push(
-            TraceEvent::from_json(line).map_err(|_| CoreError::Inconsistent {
-                reason: "journal JSONL line failed to round-trip",
-            })?,
-        );
-    }
+    // Re-read the journal from its file form: a journal that cannot be
+    // parsed back is not a journal.
+    let jsonl = jsonl_journal(&artifacts.events);
+    let events = parse_jsonl_journal(&jsonl).map_err(|_| CoreError::Inconsistent {
+        reason: "journal JSONL failed to round-trip",
+    })?;
 
     let mut counts: Vec<(&'static str, u64)> = Vec::new();
     for event in &events {
@@ -1267,19 +1261,34 @@ fn print_trace(out: &mut String, seed: u64) -> Result<(), CoreError> {
     );
 
     if let Some(dir) = CSV_DIR.get() {
-        let series_path = dir.join("trace_series.csv");
-        match std::fs::write(&series_path, artifacts.series.to_csv()) {
-            Ok(()) => {
-                let _ = writeln!(
-                    out,
-                    "journal written to {} (jsonl) and {} (csv), per-tick series to {}",
-                    dir.join("trace_resilience.jsonl").display(),
-                    dir.join("trace_resilience.csv").display(),
-                    series_path.display()
-                );
-            }
-            Err(err) => eprintln!("series csv write failed: {err}"),
+        if artifacts.dropped_events > 0 {
+            return Err(CoreError::Inconsistent {
+                reason: "the journal ring dropped events; refusing to write a partial journal",
+            });
         }
+        let csv = csv_journal(&artifacts.events);
+        if csv_journal_rows(&csv).map(|rows| rows.len()) != Ok(events.len()) {
+            return Err(CoreError::Inconsistent {
+                reason: "CSV journal rows do not match the journaled events",
+            });
+        }
+        let files = [
+            ("trace_resilience.jsonl", jsonl),
+            ("trace_resilience.csv", csv),
+            ("trace_series.csv", artifacts.series.to_csv()),
+        ];
+        for (name, contents) in &files {
+            std::fs::write(dir.join(name), contents).map_err(|_| CoreError::Inconsistent {
+                reason: "cannot write the trace journal",
+            })?;
+        }
+        let _ = writeln!(
+            out,
+            "journal written to {} (jsonl) and {} (csv), per-tick series to {}",
+            dir.join(files[0].0).display(),
+            dir.join(files[1].0).display(),
+            dir.join(files[2].0).display()
+        );
     }
     Ok(())
 }

@@ -95,149 +95,6 @@ pub enum EventOutcome {
     StaleOutage,
 }
 
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct Counters {
-    admitted: u64,
-    rejected: u64,
-    departed: u64,
-    shed: u64,
-    migrated_failover: u64,
-    migrated_reopt: u64,
-    migrated_replace: u64,
-    ticks: u64,
-    reopts_applied: u64,
-    reopts_skipped: u64,
-    instances_added: u64,
-    instances_retired: u64,
-    relocations: u64,
-    replaces_applied: u64,
-    replaces_aborted: u64,
-    node_downs: u64,
-    node_ups: u64,
-    stale_outage_events: u64,
-    emergency_replaces: u64,
-    retries_attempted: u64,
-    retry_admitted: u64,
-    retry_abandoned: u64,
-    refines_applied: u64,
-    refines_rejected: u64,
-    /// `node_downs + node_ups` at the last refiner attempt, for the
-    /// quiet-tick gate (not reported).
-    outages_seen: u64,
-}
-
-impl Counters {
-    /// Counter names in declaration order — the snapshot's counter
-    /// schema. A snapshot whose pairs do not match this list exactly was
-    /// written by a different build and is refused on restore.
-    const NAMES: [&'static str; 25] = [
-        "admitted",
-        "rejected",
-        "departed",
-        "shed",
-        "migrated_failover",
-        "migrated_reopt",
-        "migrated_replace",
-        "ticks",
-        "reopts_applied",
-        "reopts_skipped",
-        "instances_added",
-        "instances_retired",
-        "relocations",
-        "replaces_applied",
-        "replaces_aborted",
-        "node_downs",
-        "node_ups",
-        "stale_outage_events",
-        "emergency_replaces",
-        "retries_attempted",
-        "retry_admitted",
-        "retry_abandoned",
-        "refines_applied",
-        "refines_rejected",
-        "outages_seen",
-    ];
-
-    fn values(&self) -> [u64; 25] {
-        [
-            self.admitted,
-            self.rejected,
-            self.departed,
-            self.shed,
-            self.migrated_failover,
-            self.migrated_reopt,
-            self.migrated_replace,
-            self.ticks,
-            self.reopts_applied,
-            self.reopts_skipped,
-            self.instances_added,
-            self.instances_retired,
-            self.relocations,
-            self.replaces_applied,
-            self.replaces_aborted,
-            self.node_downs,
-            self.node_ups,
-            self.stale_outage_events,
-            self.emergency_replaces,
-            self.retries_attempted,
-            self.retry_admitted,
-            self.retry_abandoned,
-            self.refines_applied,
-            self.refines_rejected,
-            self.outages_seen,
-        ]
-    }
-
-    fn to_pairs(&self) -> Vec<(String, u64)> {
-        Self::NAMES
-            .iter()
-            .zip(self.values())
-            .map(|(name, value)| ((*name).to_string(), value))
-            .collect()
-    }
-
-    /// Rebuilds the counter block from snapshot pairs; `None` when the
-    /// names do not match this build's schema exactly (order included).
-    fn from_pairs(pairs: &[(String, u64)]) -> Option<Self> {
-        if pairs.len() != Self::NAMES.len()
-            || pairs
-                .iter()
-                .zip(Self::NAMES)
-                .any(|((name, _), expected)| name != expected)
-        {
-            return None;
-        }
-        let v: Vec<u64> = pairs.iter().map(|(_, value)| *value).collect();
-        Some(Self {
-            admitted: v[0],
-            rejected: v[1],
-            departed: v[2],
-            shed: v[3],
-            migrated_failover: v[4],
-            migrated_reopt: v[5],
-            migrated_replace: v[6],
-            ticks: v[7],
-            reopts_applied: v[8],
-            reopts_skipped: v[9],
-            instances_added: v[10],
-            instances_retired: v[11],
-            relocations: v[12],
-            replaces_applied: v[13],
-            replaces_aborted: v[14],
-            node_downs: v[15],
-            node_ups: v[16],
-            stale_outage_events: v[17],
-            emergency_replaces: v[18],
-            retries_attempted: v[19],
-            retry_admitted: v[20],
-            retry_abandoned: v[21],
-            refines_applied: v[22],
-            refines_rejected: v[23],
-            outages_seen: v[24],
-        })
-    }
-}
-
 /// The physical substrate the controller re-places over: the node fleet,
 /// the scenario's VNF prototypes (per-instance demand and service rate,
 /// used to rebuild [`PlacementProblem`]s with live instance counts) and the
@@ -327,7 +184,13 @@ pub struct Controller {
     state: ControllerState,
     active: ActiveSet,
     config: ControllerConfig,
-    counters: Counters,
+    /// The accumulated counters. The fields [`report`](Self::report)
+    /// reads off the live state (time, `retry_pending`, `active` and the
+    /// latencies) stay at their defaults here.
+    counters: ControllerReport,
+    /// `node_downs + node_ups` at the last refiner attempt, for the
+    /// quiet-tick gate (not reported).
+    outages_seen: u64,
     clock: f64,
     /// `∫ L(t) dt` over the run so far, for the time-weighted mean latency.
     latency_integral: f64,
@@ -348,7 +211,8 @@ impl Controller {
             state: ControllerState::new(scenario),
             active: ActiveSet::default(),
             config,
-            counters: Counters::default(),
+            counters: ControllerReport::default(),
+            outages_seen: 0,
             clock: 0.0,
             latency_integral: 0.0,
             current_latency: 0.0,
@@ -456,7 +320,7 @@ impl Controller {
         self.live_into(&mut live);
         ControllerSnapshot {
             live,
-            counters: self.counters.to_pairs(),
+            counters: self.counter_pairs(),
             latency_samples: self.latency_samples.as_slice().to_vec(),
             utilization_samples: self.utilization_samples.as_slice().to_vec(),
             reports: self.snapshots.clone(),
@@ -473,7 +337,8 @@ impl Controller {
     pub fn mark(&self) -> ControllerMark {
         let mut mark = ControllerMark {
             live: LiveState::default(),
-            counters: Counters::default(),
+            counters: ControllerReport::default(),
+            outages_seen: 0,
             latency_samples: 0,
             utilization_samples: 0,
             reports: 0,
@@ -487,6 +352,7 @@ impl Controller {
     pub fn mark_into(&self, mark: &mut ControllerMark) {
         self.live_into(&mut mark.live);
         mark.counters.clone_from(&self.counters);
+        mark.outages_seen = self.outages_seen;
         mark.latency_samples = self.latency_samples.len();
         mark.utilization_samples = self.utilization_samples.len();
         mark.reports = self.snapshots.len();
@@ -504,10 +370,11 @@ impl Controller {
     /// controller — different VNF shape, cluster presence or size, a
     /// counter schema from another build, or out-of-domain member data.
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) -> Result<(), SnapshotError> {
-        let counters = Counters::from_pairs(&snapshot.counters).ok_or(SnapshotError::Mismatch {
-            reason: "counter schema differs from this build",
-        })?;
-        self.apply_live(&snapshot.live, counters)?;
+        let (counters, outages_seen) =
+            Self::counters_from_pairs(&snapshot.counters).ok_or(SnapshotError::Mismatch {
+                reason: "counter schema differs from this build",
+            })?;
+        self.apply_live(&snapshot.live, counters, outages_seen)?;
         self.latency_samples = snapshot.latency_samples.iter().copied().collect();
         self.utilization_samples = snapshot.utilization_samples.iter().copied().collect();
         self.snapshots.clone_from(&snapshot.reports);
@@ -536,7 +403,7 @@ impl Controller {
                 reason: "mark is ahead of this controller's history",
             });
         }
-        self.apply_live(&mark.live, mark.counters.clone())?;
+        self.apply_live(&mark.live, mark.counters.clone(), mark.outages_seen)?;
         self.latency_samples.truncate(mark.latency_samples);
         self.utilization_samples.truncate(mark.utilization_samples);
         self.snapshots.truncate(mark.reports);
@@ -546,7 +413,12 @@ impl Controller {
     /// Overwrites the live state and counters after checking that `live`
     /// fits this controller; nothing is written unless every check
     /// passes.
-    fn apply_live(&mut self, live: &LiveState, counters: Counters) -> Result<(), SnapshotError> {
+    fn apply_live(
+        &mut self,
+        live: &LiveState,
+        counters: ControllerReport,
+        outages_seen: u64,
+    ) -> Result<(), SnapshotError> {
         let mismatch = |reason| SnapshotError::Mismatch { reason };
         match (self.cluster.as_ref(), live.cluster.as_ref()) {
             (None, None) => {}
@@ -576,6 +448,7 @@ impl Controller {
             self.active.insert(request.clone());
         }
         self.counters = counters;
+        self.outages_seen = outages_seen;
         self.clock = live.clock;
         self.latency_integral = live.latency_integral;
         self.current_latency = live.current_latency;
@@ -1008,30 +881,6 @@ impl Controller {
     pub fn report(&self) -> ControllerReport {
         ControllerReport {
             time: self.clock,
-            admitted: self.counters.admitted,
-            rejected: self.counters.rejected,
-            departed: self.counters.departed,
-            shed: self.counters.shed,
-            migrated_failover: self.counters.migrated_failover,
-            migrated_reopt: self.counters.migrated_reopt,
-            migrated_replace: self.counters.migrated_replace,
-            ticks: self.counters.ticks,
-            reopts_applied: self.counters.reopts_applied,
-            reopts_skipped: self.counters.reopts_skipped,
-            instances_added: self.counters.instances_added,
-            instances_retired: self.counters.instances_retired,
-            relocations: self.counters.relocations,
-            replaces_applied: self.counters.replaces_applied,
-            replaces_aborted: self.counters.replaces_aborted,
-            node_downs: self.counters.node_downs,
-            node_ups: self.counters.node_ups,
-            stale_outage_events: self.counters.stale_outage_events,
-            emergency_replaces: self.counters.emergency_replaces,
-            retries_attempted: self.counters.retries_attempted,
-            retry_admitted: self.counters.retry_admitted,
-            retry_abandoned: self.counters.retry_abandoned,
-            refines_applied: self.counters.refines_applied,
-            refines_rejected: self.counters.refines_rejected,
             retry_pending: self.retry.len() as u64,
             active: self.active.len() as u64,
             mean_latency: if self.clock > 0.0 {
@@ -1041,7 +890,38 @@ impl Controller {
             },
             current_latency: self.current_latency,
             peak_utilization: self.peak_utilization(),
+            ..self.counters.clone()
         }
+    }
+
+    /// The counter block as snapshot pairs: the accumulated counters in
+    /// [`ControllerReport::counters`] order, then `outages_seen`.
+    fn counter_pairs(&self) -> Vec<(String, u64)> {
+        self.counters.counters()[..ControllerReport::ACCUMULATED]
+            .iter()
+            .map(|&(name, value)| (name.to_owned(), value))
+            .chain([("outages_seen".to_owned(), self.outages_seen)])
+            .collect()
+    }
+
+    /// Rebuilds the counters and `outages_seen` from snapshot pairs;
+    /// `None` when the names do not match [`counter_pairs`]'s exactly
+    /// (order included).
+    ///
+    /// [`counter_pairs`]: Self::counter_pairs
+    fn counters_from_pairs(pairs: &[(String, u64)]) -> Option<(ControllerReport, u64)> {
+        let ((last, outages_seen), accumulated) = pairs.split_last()?;
+        if last != "outages_seen" || accumulated.len() != ControllerReport::ACCUMULATED {
+            return None;
+        }
+        let mut counters = ControllerReport::default();
+        for ((name, value), (expected, slot)) in accumulated.iter().zip(counters.counters_mut()) {
+            if name != expected {
+                return None;
+            }
+            *slot = *value;
+        }
+        Some((counters, *outages_seen))
     }
 
     fn peak_utilization(&self) -> f64 {
@@ -2093,8 +1973,8 @@ impl Controller {
         // and a search over a degraded fleet would chase a transient
         // topology.
         let outages = self.counters.node_downs + self.counters.node_ups;
-        let quiet = !cluster.any_node_down() && outages == self.counters.outages_seen;
-        self.counters.outages_seen = outages;
+        let quiet = !cluster.any_node_down() && outages == self.outages_seen;
+        self.outages_seen = outages;
         if !quiet {
             return 0;
         }

@@ -133,9 +133,15 @@ impl ControllerReport {
             .to_vec()
     }
 
+    /// How many leading [`counters`](Self::counters) the controller
+    /// accumulates event by event; the rest (`retry_pending`, `active`)
+    /// it reads off its live state when it reports.
+    pub(crate) const ACCUMULATED: usize = 24;
+
     /// The counters by name, writable — the one list of counter names,
-    /// shared by [`counters`](Self::counters) and the JSON codec.
-    fn counters_mut(&mut self) -> [(&'static str, &mut u64); 26] {
+    /// shared by [`counters`](Self::counters), the JSON codec and the
+    /// controller's snapshot pairs.
+    pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); 26] {
         [
             ("admitted", &mut self.admitted),
             ("rejected", &mut self.rejected),

@@ -37,7 +37,6 @@ use std::fmt::Write as _;
 use nfv_model::{ArrivalRate, DeliveryProbability, Request, RequestId, ServiceChain, VnfId};
 use nfv_telemetry::json::{self, Fields, Json, JsonError, JsonObject};
 
-use crate::controller::Counters;
 use crate::ledger::SlabExport;
 use crate::ControllerReport;
 
@@ -153,7 +152,8 @@ pub struct ControllerSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerMark {
     pub(crate) live: LiveState,
-    pub(crate) counters: Counters,
+    pub(crate) counters: ControllerReport,
+    pub(crate) outages_seen: u64,
     pub(crate) latency_samples: usize,
     pub(crate) utilization_samples: usize,
     pub(crate) reports: usize,

@@ -178,8 +178,9 @@ fn empty_checkpoint_restores_to_a_fresh_controller() {
 
 /// A refused restore is all-or-nothing: neither a corrupt document (a
 /// foreign VNF id in the last ledger slab, behind an edited cluster
-/// assignment) nor another controller's snapshot changes a single byte
-/// of the controller's own checkpoint.
+/// assignment), nor a counter schema from another build, nor another
+/// controller's snapshot changes a single byte of the controller's own
+/// checkpoint.
 #[test]
 fn refused_restores_leave_the_controller_untouched() {
     let s = scenario(17);
@@ -226,6 +227,18 @@ fn refused_restores_leave_the_controller_untouched() {
         Err(SnapshotError::Mismatch { .. })
     ));
     assert_eq!(controller.checkpoint().to_jsonl(), before);
+
+    // The counter line precedes the archived reports, so the first match
+    // is the counter's own name.
+    for (name, renamed) in [("admitted", "admits"), ("outages_seen", "outages")] {
+        let drifted = text.replacen(&format!("\"{name}\":"), &format!("\"{renamed}\":"), 1);
+        let drifted = ControllerSnapshot::from_jsonl(&drifted).unwrap();
+        assert!(matches!(
+            controller.restore(&drifted),
+            Err(SnapshotError::Mismatch { .. })
+        ));
+        assert_eq!(controller.checkpoint().to_jsonl(), before);
+    }
 
     let foreign = Controller::new(&s, ControllerConfig::resilient()).checkpoint();
     assert!(controller.restore(&foreign).is_err());

@@ -8,7 +8,7 @@
 //! deterministic virtual-time run.
 
 use nfv_controller::ControllerReport;
-use nfv_metrics::Histogram;
+use nfv_metrics::{percentile_sorted, Histogram};
 use nfv_telemetry::{
     Phase, PhaseProfile, Postmortem, Registry, SpanId, SpanTree, Stopwatch, Telemetry,
     TelemetryArtifacts, FLIGHT_RECORDER_WINDOW,
@@ -298,18 +298,4 @@ impl Recorder {
         self.spans.set_seconds(root, self.run.seconds());
         (self.spans, self.registry, self.postmortems)
     }
-}
-
-/// The `q`-quantile of an ascending slice, matching
-/// [`nfv_metrics::SampleSet::percentile`] (Hyndman–Fan type 7): rank
-/// `q·(n−1)`, linear interpolation between neighbors, 0 when empty.
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = q * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }

@@ -32,7 +32,7 @@ mod table;
 
 pub use histogram::Histogram;
 pub use online::OnlineStats;
-pub use samples::SampleSet;
+pub use samples::{percentile_sorted, SampleSet};
 pub use summary::{Summary, SummaryMark};
 pub use table::Table;
 

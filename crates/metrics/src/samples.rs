@@ -87,15 +87,7 @@ impl SampleSet {
     #[must_use]
     pub fn percentile(&mut self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must lie in [0, 1]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let sorted = self.ensure_sorted();
-        let rank = q * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        percentile_sorted(self.ensure_sorted(), q)
     }
 
     /// The median.
@@ -220,6 +212,21 @@ impl fmt::Display for SampleSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} samples", self.samples.len())
     }
+}
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`, unchecked) of an ascending slice, as
+/// [`SampleSet::percentile`] computes it: rank `q · (n − 1)`, linear
+/// interpolation between neighbors, 0 when empty.
+#[must_use]
+pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = q * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 #[cfg(test)]

@@ -1,4 +1,12 @@
-//! Typed journal records.
+//! Typed journal records, each kind declared once.
+//!
+//! The [`EventKind`] table below lists every variant's fields with their
+//! types and CSV slots; the `journal_schema!` macro generates the enum,
+//! its [`label`](EventKind::label), the JSON codec
+//! ([`TraceEvent::to_json`]/[`TraceEvent::from_json`]) and the CSV row
+//! ([`TraceEvent::to_csv_row`]) from it, so a new field is one line.
+
+use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,187 +48,354 @@ impl ReoptPhase {
     }
 }
 
-/// What happened, with the ids and magnitudes needed to reconstruct the
-/// episode afterwards. Cause fields are short stable slugs (e.g.
-/// `"node-down"`, `"would-overload"`, `"hysteresis"`), not prose.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum EventKind {
-    /// An arrival (or base-population request) was admitted.
-    Admit {
-        /// The admitted request.
-        request: RequestId,
-        /// Chain hops placed.
-        hops: u64,
-    },
-    /// An arrival was refused by admission control.
-    Reject {
-        /// The refused request.
-        request: RequestId,
-        /// Why (the `RejectReason` slug).
-        cause: String,
-    },
-    /// An active request was dropped (eviction, failed failover, or a
-    /// node outage).
-    Shed {
-        /// The dropped request.
-        request: RequestId,
-        /// Why it was dropped.
-        cause: String,
-    },
-    /// A refused/shed request was queued for a backoff re-offer.
-    RetryScheduled {
-        /// The queued request.
-        request: RequestId,
-        /// 0-based attempt number of the scheduled re-offer.
-        attempt: u64,
-        /// Virtual due time of the re-offer.
-        due: f64,
-    },
-    /// A queued re-offer succeeded.
-    RetryAdmitted {
-        /// The re-admitted request.
-        request: RequestId,
-        /// 0-based attempt number that succeeded.
-        attempt: u64,
-    },
-    /// A request ran out of retry budget (or found the queue full) and is
-    /// lost for good.
-    RetryAbandoned {
-        /// The abandoned request.
-        request: RequestId,
-        /// Why (the `RetryRefusal` slug).
-        cause: String,
-    },
-    /// One instance went down and its requests were failed over or shed.
-    InstanceDown {
-        /// The VNF owning the instance.
-        vnf: VnfId,
-        /// Zero-based instance slot.
-        slot: u64,
-        /// Requests moved to surviving siblings.
-        migrated: u64,
-        /// Requests shed because nothing could hold them.
-        shed: u64,
-    },
-    /// One instance came back up.
-    InstanceUp {
-        /// The VNF owning the instance.
-        vnf: VnfId,
-        /// Zero-based instance slot.
-        slot: u64,
-    },
-    /// A whole node went dark.
-    NodeDown {
-        /// The failed node.
-        node: NodeId,
-        /// VNFs that lost all instances at once.
-        vnfs_lost: u64,
-        /// Requests shed (each once, however many lost hops).
-        shed: u64,
-    },
-    /// A dark node returned to service.
-    NodeUp {
-        /// The recovered node.
-        node: NodeId,
-        /// VNFs still assigned to it that became dispatchable again.
-        vnfs_restored: u64,
-    },
-    /// An out-of-tick emergency re-placement ran after a node failure.
-    EmergencyReplace {
-        /// The node whose failure triggered it.
-        node: NodeId,
-        /// Replacement instances added.
-        instances_added: u64,
-        /// VNFs relocated onto surviving nodes.
-        relocations: u64,
-    },
-    /// A tick phase committed its (bounded) plan.
-    ReoptCommit {
-        /// Which tick phase.
-        phase: ReoptPhase,
-        /// Requests moved.
-        migrations: u64,
-        /// Instances added.
-        instances_added: u64,
-        /// Instances retired.
-        instances_retired: u64,
-        /// Instances relocated.
-        relocations: u64,
-        /// Relative latency gain the preview promised.
-        predicted_gain: f64,
-        /// Relative latency gain measured right after the commit.
-        realized_gain: f64,
-    },
-    /// A tick phase computed a plan and threw it away.
-    ReoptRejected {
-        /// Which tick phase.
-        phase: ReoptPhase,
-        /// Why (`"hysteresis"`, `"empty-plan"`).
-        cause: String,
-        /// Relative latency gain the preview promised.
-        predicted_gain: f64,
-        /// The hysteresis threshold the gain failed to clear.
-        required_gain: f64,
-    },
-    /// A fleet supervisor checkpointed one shard at an epoch boundary.
-    CheckpointTaken {
-        /// The checkpointed shard.
-        shard: u64,
-        /// Tenants captured in the checkpoint.
-        tenants: u64,
-    },
-    /// The chaos harness injected one control-plane fault.
-    FaultInjected {
-        /// The fault-kind slug (e.g. `"shard-panic"`, `"channel-drop"`).
-        cause: String,
-        /// The shard the fault landed on.
-        shard: u64,
-        /// The tenant the fault targeted (the shard's first tenant for
-        /// shard-wide faults).
-        tenant: u64,
-    },
-    /// A faulted shard was restored from its epoch checkpoint and caught
-    /// up by replaying the epoch's pumped events.
-    ShardRestored {
-        /// The restored shard.
-        shard: u64,
-        /// Events replayed to catch the shard up.
-        replayed: u64,
-    },
-    /// A tenant whose state could not be recovered was retired from the
-    /// fleet with its last checkpointed counters frozen into the totals.
-    TenantQuarantined {
-        /// The retired tenant.
-        tenant: u64,
-        /// Why recovery was impossible (e.g. `"corrupt-checkpoint"`).
-        cause: String,
-    },
+/// How one payload field type is journaled: its JSON value under the
+/// field's name, and its text in a CSV slot.
+trait Field: Sized {
+    fn put(&self, obj: &mut JsonObject, key: &str);
+    fn take(f: &mut Fields<'_>, key: &str) -> Result<Self, JsonError>;
+    fn csv(&self) -> String;
 }
 
-impl EventKind {
-    /// Stable journal/CSV label of the variant.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Admit { .. } => "Admit",
-            Self::Reject { .. } => "Reject",
-            Self::Shed { .. } => "Shed",
-            Self::RetryScheduled { .. } => "RetryScheduled",
-            Self::RetryAdmitted { .. } => "RetryAdmitted",
-            Self::RetryAbandoned { .. } => "RetryAbandoned",
-            Self::InstanceDown { .. } => "InstanceDown",
-            Self::InstanceUp { .. } => "InstanceUp",
-            Self::NodeDown { .. } => "NodeDown",
-            Self::NodeUp { .. } => "NodeUp",
-            Self::EmergencyReplace { .. } => "EmergencyReplace",
-            Self::ReoptCommit { .. } => "ReoptCommit",
-            Self::ReoptRejected { .. } => "ReoptRejected",
-            Self::CheckpointTaken { .. } => "CheckpointTaken",
-            Self::FaultInjected { .. } => "FaultInjected",
-            Self::ShardRestored { .. } => "ShardRestored",
-            Self::TenantQuarantined { .. } => "TenantQuarantined",
+impl Field for u64 {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_u64(key, *self);
+    }
+    fn take(f: &mut Fields<'_>, key: &str) -> Result<Self, JsonError> {
+        f.uint(key)
+    }
+    fn csv(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_f64(key, *self);
+    }
+    fn take(f: &mut Fields<'_>, key: &str) -> Result<Self, JsonError> {
+        f.f64(key)
+    }
+    fn csv(&self) -> String {
+        format!("{self:.6}")
+    }
+}
+
+impl Field for String {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_str(key, self);
+    }
+    fn take(f: &mut Fields<'_>, key: &str) -> Result<Self, JsonError> {
+        f.str(key).map(str::to_owned)
+    }
+    fn csv(&self) -> String {
+        self.clone()
+    }
+}
+
+impl Field for ReoptPhase {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_str(key, self.name());
+    }
+    fn take(f: &mut Fields<'_>, key: &str) -> Result<Self, JsonError> {
+        Self::from_name(f.str(key)?).ok_or_else(|| f.invalid(key, "unknown phase"))
+    }
+    fn csv(&self) -> String {
+        self.name().to_owned()
+    }
+}
+
+/// Ids are journaled as their bare index in JSON and in their display
+/// form (`req7`, `vnf1`, `node2`) in CSV.
+macro_rules! id_field {
+    ($($id:ty),*) => {$(
+        impl Field for $id {
+            fn put(&self, obj: &mut JsonObject, key: &str) {
+                obj.field_u64(key, u64::from(self.index()));
+            }
+            fn take(f: &mut Fields<'_>, key: &str) -> Result<Self, JsonError> {
+                Ok(Self::new(f.uint(key)?))
+            }
+            fn csv(&self) -> String {
+                self.to_string()
+            }
         }
+    )*};
+}
+
+id_field!(RequestId, VnfId, NodeId);
+
+/// Where a payload field lands in a CSV row: one of the fixed columns of
+/// [`CSV_HEADER`], or a `key=value` pair in `Detail`.
+enum Slot {
+    Request,
+    Vnf,
+    Instance,
+    Node,
+    /// Cause-like fields; several join with `:` (`scheduling:hysteresis`).
+    Cause,
+    /// A `key=value` pair, space-separated from the previous one.
+    Detail(&'static str),
+}
+
+/// The payload columns of one CSV row.
+#[derive(Default)]
+struct CsvRow {
+    request: String,
+    vnf: String,
+    instance: String,
+    node: String,
+    cause: String,
+    detail: String,
+}
+
+impl CsvRow {
+    fn put(&mut self, slot: Slot, value: String) {
+        match slot {
+            Slot::Request => self.request = value,
+            Slot::Vnf => self.vnf = value,
+            Slot::Instance => self.instance = value,
+            Slot::Node => self.node = value,
+            Slot::Cause => {
+                if !self.cause.is_empty() {
+                    self.cause.push(':');
+                }
+                self.cause.push_str(&value);
+            }
+            Slot::Detail(key) => {
+                if !self.detail.is_empty() {
+                    self.detail.push(' ');
+                }
+                let _ = write!(self.detail, "{key}={value}");
+            }
+        }
+    }
+}
+
+/// Declares [`EventKind`] from one table: each field is written
+/// `name: Type => Slot`, where `Slot` is a fixed CSV column (`Request`,
+/// `Vnf`, `Instance`, `Node`, `Cause`) or `Detail`, keyed by the field
+/// name unless an alias is given (`Detail("added")`). JSON keys are the
+/// field names, in declaration order.
+macro_rules! journal_schema {
+    (
+        $(#[$meta:meta])*
+        pub enum EventKind {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident {
+                    $(
+                        $(#[$field_meta:meta])*
+                        $field:ident: $ty:ty => $slot:ident $(($key:literal))?,
+                    )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum EventKind {
+            $(
+                $(#[$variant_meta])*
+                $variant { $( $(#[$field_meta])* $field: $ty, )* },
+            )*
+        }
+
+        impl EventKind {
+            /// Stable journal/CSV label of the variant.
+            #[must_use]
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $( Self::$variant { .. } => stringify!($variant), )*
+                }
+            }
+
+            fn put_json(&self, obj: &mut JsonObject) {
+                match self {
+                    $( Self::$variant { $($field),* } => {
+                        $( $field.put(obj, stringify!($field)); )*
+                    } )*
+                }
+            }
+
+            fn take_json(label: &str, f: &mut Fields<'_>) -> Result<Self, JsonError> {
+                Ok(match label {
+                    $( stringify!($variant) => Self::$variant {
+                        $( $field: Field::take(f, stringify!($field))?, )*
+                    }, )*
+                    _ => return Err(f.invalid("event", "unknown event label")),
+                })
+            }
+
+            fn put_csv(&self, row: &mut CsvRow) {
+                match self {
+                    $( Self::$variant { $($field),* } => {
+                        $( row.put(journal_schema!(@slot $field $slot $(($key))?), $field.csv()); )*
+                    } )*
+                }
+            }
+        }
+    };
+    (@slot $field:ident Detail) => { Slot::Detail(stringify!($field)) };
+    (@slot $field:ident Detail($key:literal)) => { Slot::Detail($key) };
+    (@slot $field:ident $slot:ident) => { Slot::$slot };
+}
+
+journal_schema! {
+    /// What happened, with the ids and magnitudes needed to reconstruct the
+    /// episode afterwards. Cause fields are short stable slugs (e.g.
+    /// `"node-down"`, `"would-overload"`, `"hysteresis"`), not prose.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[non_exhaustive]
+    pub enum EventKind {
+        /// An arrival (or base-population request) was admitted.
+        Admit {
+            /// The admitted request.
+            request: RequestId => Request,
+            /// Chain hops placed.
+            hops: u64 => Detail,
+        },
+        /// An arrival was refused by admission control.
+        Reject {
+            /// The refused request.
+            request: RequestId => Request,
+            /// Why (the `RejectReason` slug).
+            cause: String => Cause,
+        },
+        /// An active request was dropped (eviction, failed failover, or a
+        /// node outage).
+        Shed {
+            /// The dropped request.
+            request: RequestId => Request,
+            /// Why it was dropped.
+            cause: String => Cause,
+        },
+        /// A refused/shed request was queued for a backoff re-offer.
+        RetryScheduled {
+            /// The queued request.
+            request: RequestId => Request,
+            /// 0-based attempt number of the scheduled re-offer.
+            attempt: u64 => Detail,
+            /// Virtual due time of the re-offer.
+            due: f64 => Detail,
+        },
+        /// A queued re-offer succeeded.
+        RetryAdmitted {
+            /// The re-admitted request.
+            request: RequestId => Request,
+            /// 0-based attempt number that succeeded.
+            attempt: u64 => Detail,
+        },
+        /// A request ran out of retry budget (or found the queue full) and is
+        /// lost for good.
+        RetryAbandoned {
+            /// The abandoned request.
+            request: RequestId => Request,
+            /// Why (the `RetryRefusal` slug).
+            cause: String => Cause,
+        },
+        /// One instance went down and its requests were failed over or shed.
+        InstanceDown {
+            /// The VNF owning the instance.
+            vnf: VnfId => Vnf,
+            /// Zero-based instance slot.
+            slot: u64 => Instance,
+            /// Requests moved to surviving siblings.
+            migrated: u64 => Detail,
+            /// Requests shed because nothing could hold them.
+            shed: u64 => Detail,
+        },
+        /// One instance came back up.
+        InstanceUp {
+            /// The VNF owning the instance.
+            vnf: VnfId => Vnf,
+            /// Zero-based instance slot.
+            slot: u64 => Instance,
+        },
+        /// A whole node went dark.
+        NodeDown {
+            /// The failed node.
+            node: NodeId => Node,
+            /// VNFs that lost all instances at once.
+            vnfs_lost: u64 => Detail,
+            /// Requests shed (each once, however many lost hops).
+            shed: u64 => Detail,
+        },
+        /// A dark node returned to service.
+        NodeUp {
+            /// The recovered node.
+            node: NodeId => Node,
+            /// VNFs still assigned to it that became dispatchable again.
+            vnfs_restored: u64 => Detail,
+        },
+        /// An out-of-tick emergency re-placement ran after a node failure.
+        EmergencyReplace {
+            /// The node whose failure triggered it.
+            node: NodeId => Node,
+            /// Replacement instances added.
+            instances_added: u64 => Detail("added"),
+            /// VNFs relocated onto surviving nodes.
+            relocations: u64 => Detail("relocated"),
+        },
+        /// A tick phase committed its (bounded) plan.
+        ReoptCommit {
+            /// Which tick phase.
+            phase: ReoptPhase => Cause,
+            /// Requests moved.
+            migrations: u64 => Detail,
+            /// Instances added.
+            instances_added: u64 => Detail("added"),
+            /// Instances retired.
+            instances_retired: u64 => Detail("retired"),
+            /// Instances relocated.
+            relocations: u64 => Detail("relocated"),
+            /// Relative latency gain the preview promised.
+            predicted_gain: f64 => Detail("predicted"),
+            /// Relative latency gain measured right after the commit.
+            realized_gain: f64 => Detail("realized"),
+        },
+        /// A tick phase computed a plan and threw it away.
+        ReoptRejected {
+            /// Which tick phase.
+            phase: ReoptPhase => Cause,
+            /// Why (`"hysteresis"`, `"empty-plan"`).
+            cause: String => Cause,
+            /// Relative latency gain the preview promised.
+            predicted_gain: f64 => Detail("predicted"),
+            /// The hysteresis threshold the gain failed to clear.
+            required_gain: f64 => Detail("required"),
+        },
+        /// A fleet supervisor checkpointed one shard at an epoch boundary.
+        CheckpointTaken {
+            /// The checkpointed shard.
+            shard: u64 => Detail,
+            /// Tenants captured in the checkpoint.
+            tenants: u64 => Detail,
+        },
+        /// The chaos harness injected one control-plane fault.
+        FaultInjected {
+            /// The fault-kind slug (e.g. `"shard-panic"`, `"channel-drop"`).
+            cause: String => Cause,
+            /// The shard the fault landed on.
+            shard: u64 => Detail,
+            /// The tenant the fault targeted (the shard's first tenant for
+            /// shard-wide faults).
+            tenant: u64 => Detail,
+        },
+        /// A faulted shard was restored from its epoch checkpoint and caught
+        /// up by replaying the epoch's pumped events.
+        ShardRestored {
+            /// The restored shard.
+            shard: u64 => Detail,
+            /// Events replayed to catch the shard up.
+            replayed: u64 => Detail,
+        },
+        /// A tenant whose state could not be recovered was retired from the
+        /// fleet with its last checkpointed counters frozen into the totals.
+        TenantQuarantined {
+            /// The retired tenant.
+            tenant: u64 => Detail,
+            /// Why recovery was impossible (e.g. `"corrupt-checkpoint"`).
+            cause: String => Cause,
+        },
     }
 }
 
@@ -243,130 +418,16 @@ pub struct TraceEvent {
 pub const CSV_HEADER: &str = "Event,Time,Tick,Request,Vnf,Instance,Node,Cause,Detail";
 
 impl TraceEvent {
-    /// Encodes the record as one flat JSON object (one journal line).
+    /// Encodes the record as one flat JSON object (one journal line):
+    /// `event`, `seq`, `time`, `tick`, then the payload fields.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
         obj.field_str("event", self.kind.label())
             .field_u64("seq", self.seq)
             .field_f64("time", self.time)
             .field_u64("tick", self.tick);
-        match &self.kind {
-            EventKind::Admit { request, hops } => {
-                obj.field_u64("request", u64::from(request.index()))
-                    .field_u64("hops", *hops);
-            }
-            EventKind::Reject { request, cause } | EventKind::Shed { request, cause } => {
-                obj.field_u64("request", u64::from(request.index()))
-                    .field_str("cause", cause);
-            }
-            EventKind::RetryScheduled {
-                request,
-                attempt,
-                due,
-            } => {
-                obj.field_u64("request", u64::from(request.index()))
-                    .field_u64("attempt", *attempt)
-                    .field_f64("due", *due);
-            }
-            EventKind::RetryAdmitted { request, attempt } => {
-                obj.field_u64("request", u64::from(request.index()))
-                    .field_u64("attempt", *attempt);
-            }
-            EventKind::RetryAbandoned { request, cause } => {
-                obj.field_u64("request", u64::from(request.index()))
-                    .field_str("cause", cause);
-            }
-            EventKind::InstanceDown {
-                vnf,
-                slot,
-                migrated,
-                shed,
-            } => {
-                obj.field_u64("vnf", u64::from(vnf.index()))
-                    .field_u64("slot", *slot)
-                    .field_u64("migrated", *migrated)
-                    .field_u64("shed", *shed);
-            }
-            EventKind::InstanceUp { vnf, slot } => {
-                obj.field_u64("vnf", u64::from(vnf.index()))
-                    .field_u64("slot", *slot);
-            }
-            EventKind::NodeDown {
-                node,
-                vnfs_lost,
-                shed,
-            } => {
-                obj.field_u64("node", u64::from(node.index()))
-                    .field_u64("vnfs_lost", *vnfs_lost)
-                    .field_u64("shed", *shed);
-            }
-            EventKind::NodeUp {
-                node,
-                vnfs_restored,
-            } => {
-                obj.field_u64("node", u64::from(node.index()))
-                    .field_u64("vnfs_restored", *vnfs_restored);
-            }
-            EventKind::EmergencyReplace {
-                node,
-                instances_added,
-                relocations,
-            } => {
-                obj.field_u64("node", u64::from(node.index()))
-                    .field_u64("instances_added", *instances_added)
-                    .field_u64("relocations", *relocations);
-            }
-            EventKind::ReoptCommit {
-                phase,
-                migrations,
-                instances_added,
-                instances_retired,
-                relocations,
-                predicted_gain,
-                realized_gain,
-            } => {
-                obj.field_str("phase", phase.name())
-                    .field_u64("migrations", *migrations)
-                    .field_u64("instances_added", *instances_added)
-                    .field_u64("instances_retired", *instances_retired)
-                    .field_u64("relocations", *relocations)
-                    .field_f64("predicted_gain", *predicted_gain)
-                    .field_f64("realized_gain", *realized_gain);
-            }
-            EventKind::ReoptRejected {
-                phase,
-                cause,
-                predicted_gain,
-                required_gain,
-            } => {
-                obj.field_str("phase", phase.name())
-                    .field_str("cause", cause)
-                    .field_f64("predicted_gain", *predicted_gain)
-                    .field_f64("required_gain", *required_gain);
-            }
-            EventKind::CheckpointTaken { shard, tenants } => {
-                obj.field_u64("shard", *shard)
-                    .field_u64("tenants", *tenants);
-            }
-            EventKind::FaultInjected {
-                cause,
-                shard,
-                tenant,
-            } => {
-                obj.field_str("cause", cause)
-                    .field_u64("shard", *shard)
-                    .field_u64("tenant", *tenant);
-            }
-            EventKind::ShardRestored { shard, replayed } => {
-                obj.field_u64("shard", *shard)
-                    .field_u64("replayed", *replayed);
-            }
-            EventKind::TenantQuarantined { tenant, cause } => {
-                obj.field_u64("tenant", *tenant).field_str("cause", cause);
-            }
-        }
+        self.kind.put_json(&mut obj);
         obj.finish()
     }
 
@@ -377,99 +438,12 @@ impl TraceEvent {
     /// [`JsonError`] when the line is malformed, misses a field the
     /// labelled variant requires, or carries one it does not.
     pub fn from_json(line: &str) -> Result<Self, JsonError> {
-        let phase = |f: &mut Fields| {
-            ReoptPhase::from_name(f.str("phase")?)
-                .ok_or_else(|| f.invalid("phase", "unknown phase"))
-        };
         Fields::new(&json::parse_object(line)?).decode(|f| {
             Ok(Self {
                 seq: f.uint("seq")?,
                 time: f.f64("time")?,
                 tick: f.uint("tick")?,
-                kind: match f.str("event")? {
-                    "Admit" => EventKind::Admit {
-                        request: RequestId::new(f.uint("request")?),
-                        hops: f.uint("hops")?,
-                    },
-                    "Reject" => EventKind::Reject {
-                        request: RequestId::new(f.uint("request")?),
-                        cause: f.str("cause")?.to_owned(),
-                    },
-                    "Shed" => EventKind::Shed {
-                        request: RequestId::new(f.uint("request")?),
-                        cause: f.str("cause")?.to_owned(),
-                    },
-                    "RetryScheduled" => EventKind::RetryScheduled {
-                        request: RequestId::new(f.uint("request")?),
-                        attempt: f.uint("attempt")?,
-                        due: f.f64("due")?,
-                    },
-                    "RetryAdmitted" => EventKind::RetryAdmitted {
-                        request: RequestId::new(f.uint("request")?),
-                        attempt: f.uint("attempt")?,
-                    },
-                    "RetryAbandoned" => EventKind::RetryAbandoned {
-                        request: RequestId::new(f.uint("request")?),
-                        cause: f.str("cause")?.to_owned(),
-                    },
-                    "InstanceDown" => EventKind::InstanceDown {
-                        vnf: VnfId::new(f.uint("vnf")?),
-                        slot: f.uint("slot")?,
-                        migrated: f.uint("migrated")?,
-                        shed: f.uint("shed")?,
-                    },
-                    "InstanceUp" => EventKind::InstanceUp {
-                        vnf: VnfId::new(f.uint("vnf")?),
-                        slot: f.uint("slot")?,
-                    },
-                    "NodeDown" => EventKind::NodeDown {
-                        node: NodeId::new(f.uint("node")?),
-                        vnfs_lost: f.uint("vnfs_lost")?,
-                        shed: f.uint("shed")?,
-                    },
-                    "NodeUp" => EventKind::NodeUp {
-                        node: NodeId::new(f.uint("node")?),
-                        vnfs_restored: f.uint("vnfs_restored")?,
-                    },
-                    "EmergencyReplace" => EventKind::EmergencyReplace {
-                        node: NodeId::new(f.uint("node")?),
-                        instances_added: f.uint("instances_added")?,
-                        relocations: f.uint("relocations")?,
-                    },
-                    "ReoptCommit" => EventKind::ReoptCommit {
-                        phase: phase(f)?,
-                        migrations: f.uint("migrations")?,
-                        instances_added: f.uint("instances_added")?,
-                        instances_retired: f.uint("instances_retired")?,
-                        relocations: f.uint("relocations")?,
-                        predicted_gain: f.f64("predicted_gain")?,
-                        realized_gain: f.f64("realized_gain")?,
-                    },
-                    "ReoptRejected" => EventKind::ReoptRejected {
-                        phase: phase(f)?,
-                        cause: f.str("cause")?.to_owned(),
-                        predicted_gain: f.f64("predicted_gain")?,
-                        required_gain: f.f64("required_gain")?,
-                    },
-                    "CheckpointTaken" => EventKind::CheckpointTaken {
-                        shard: f.uint("shard")?,
-                        tenants: f.uint("tenants")?,
-                    },
-                    "FaultInjected" => EventKind::FaultInjected {
-                        cause: f.str("cause")?.to_owned(),
-                        shard: f.uint("shard")?,
-                        tenant: f.uint("tenant")?,
-                    },
-                    "ShardRestored" => EventKind::ShardRestored {
-                        shard: f.uint("shard")?,
-                        replayed: f.uint("replayed")?,
-                    },
-                    "TenantQuarantined" => EventKind::TenantQuarantined {
-                        tenant: f.uint("tenant")?,
-                        cause: f.str("cause")?.to_owned(),
-                    },
-                    _ => return Err(f.invalid("event", "unknown event label")),
-                },
+                kind: EventKind::take_json(f.str("event")?, f)?,
             })
         })
     }
@@ -479,141 +453,19 @@ impl TraceEvent {
     /// `Event,Time,...,Reason`-style columns).
     #[must_use]
     pub fn to_csv_row(&self) -> String {
-        let mut request = String::new();
-        let mut vnf = String::new();
-        let mut instance = String::new();
-        let mut node = String::new();
-        let mut cause = String::new();
-        let mut detail = String::new();
-        match &self.kind {
-            EventKind::Admit { request: r, hops } => {
-                request = r.to_string();
-                detail = format!("hops={hops}");
-            }
-            EventKind::Reject {
-                request: r,
-                cause: c,
-            }
-            | EventKind::Shed {
-                request: r,
-                cause: c,
-            } => {
-                request = r.to_string();
-                cause.clone_from(c);
-            }
-            EventKind::RetryScheduled {
-                request: r,
-                attempt,
-                due,
-            } => {
-                request = r.to_string();
-                detail = format!("attempt={attempt} due={due:.6}");
-            }
-            EventKind::RetryAdmitted {
-                request: r,
-                attempt,
-            } => {
-                request = r.to_string();
-                detail = format!("attempt={attempt}");
-            }
-            EventKind::RetryAbandoned {
-                request: r,
-                cause: c,
-            } => {
-                request = r.to_string();
-                cause.clone_from(c);
-            }
-            EventKind::InstanceDown {
-                vnf: v,
-                slot,
-                migrated,
-                shed,
-            } => {
-                vnf = v.to_string();
-                instance = format!("{slot}");
-                detail = format!("migrated={migrated} shed={shed}");
-            }
-            EventKind::InstanceUp { vnf: v, slot } => {
-                vnf = v.to_string();
-                instance = format!("{slot}");
-            }
-            EventKind::NodeDown {
-                node: n,
-                vnfs_lost,
-                shed,
-            } => {
-                node = n.to_string();
-                detail = format!("vnfs_lost={vnfs_lost} shed={shed}");
-            }
-            EventKind::NodeUp {
-                node: n,
-                vnfs_restored,
-            } => {
-                node = n.to_string();
-                detail = format!("vnfs_restored={vnfs_restored}");
-            }
-            EventKind::EmergencyReplace {
-                node: n,
-                instances_added,
-                relocations,
-            } => {
-                node = n.to_string();
-                detail = format!("added={instances_added} relocated={relocations}");
-            }
-            EventKind::ReoptCommit {
-                phase,
-                migrations,
-                instances_added,
-                instances_retired,
-                relocations,
-                predicted_gain,
-                realized_gain,
-            } => {
-                cause = phase.name().to_string();
-                detail = format!(
-                    "migrations={migrations} added={instances_added} retired={instances_retired} \
-                     relocated={relocations} predicted={predicted_gain:.6} realized={realized_gain:.6}"
-                );
-            }
-            EventKind::ReoptRejected {
-                phase,
-                cause: c,
-                predicted_gain,
-                required_gain,
-            } => {
-                cause = format!("{}:{c}", phase.name());
-                detail = format!("predicted={predicted_gain:.6} required={required_gain:.6}");
-            }
-            EventKind::CheckpointTaken { shard, tenants } => {
-                detail = format!("shard={shard} tenants={tenants}");
-            }
-            EventKind::FaultInjected {
-                cause: c,
-                shard,
-                tenant,
-            } => {
-                cause.clone_from(c);
-                detail = format!("shard={shard} tenant={tenant}");
-            }
-            EventKind::ShardRestored { shard, replayed } => {
-                detail = format!("shard={shard} replayed={replayed}");
-            }
-            EventKind::TenantQuarantined { tenant, cause: c } => {
-                cause.clone_from(c);
-                detail = format!("tenant={tenant}");
-            }
-        }
+        let mut row = CsvRow::default();
+        self.kind.put_csv(&mut row);
         format!(
             "{},{:.6},{},{},{},{},{},{},{}",
             self.kind.label(),
             self.time,
             self.tick,
-            request,
-            vnf,
-            instance,
-            node,
-            csv_field(&cause),
-            csv_field(&detail),
+            row.request,
+            row.vnf,
+            row.instance,
+            row.node,
+            csv_field(&row.cause),
+            csv_field(&row.detail),
         )
     }
 }
@@ -729,6 +581,12 @@ mod tests {
                 tenant: 3,
                 cause: "corrupt-checkpoint".into(),
             },
+            EventKind::ReoptRejected {
+                phase: ReoptPhase::Scheduling,
+                cause: "hysteresis".into(),
+                predicted_gain: f64::NEG_INFINITY,
+                required_gain: 0.01,
+            },
         ];
         kinds
             .into_iter()
@@ -740,6 +598,102 @@ mod tests {
                 kind,
             })
             .collect()
+    }
+
+    /// The exact journal line and CSV row of every sample, pinned as
+    /// literals: the CSV slots (`phase:cause`, the `Detail` aliases,
+    /// `{:.6}` floats, `req7`/`vnf1`/`node2` ids) are what a schema table
+    /// most easily gets wrong.
+    #[test]
+    fn every_sample_renders_its_pinned_line_and_row() {
+        let pinned = [
+            (
+                r#"{"event":"Admit","seq":0,"time":0,"tick":0,"request":7,"hops":3}"#,
+                "Admit,0.000000,0,req7,,,,,hops=3",
+            ),
+            (
+                r#"{"event":"Reject","seq":1,"time":0.1,"tick":0,"request":8,"cause":"would-overload"}"#,
+                "Reject,0.100000,0,req8,,,,would-overload,",
+            ),
+            (
+                r#"{"event":"Shed","seq":2,"time":0.2,"tick":0,"request":9,"cause":"node-down"}"#,
+                "Shed,0.200000,0,req9,,,,node-down,",
+            ),
+            (
+                r#"{"event":"RetryScheduled","seq":3,"time":0.30000000000000004,"tick":1,"request":9,"attempt":2,"due":17.25}"#,
+                "RetryScheduled,0.300000,1,req9,,,,,attempt=2 due=17.250000",
+            ),
+            (
+                r#"{"event":"RetryAdmitted","seq":4,"time":0.4,"tick":1,"request":9,"attempt":2}"#,
+                "RetryAdmitted,0.400000,1,req9,,,,,attempt=2",
+            ),
+            (
+                r#"{"event":"RetryAbandoned","seq":5,"time":0.5,"tick":1,"request":10,"cause":"budget-exhausted"}"#,
+                "RetryAbandoned,0.500000,1,req10,,,,budget-exhausted,",
+            ),
+            (
+                r#"{"event":"InstanceDown","seq":6,"time":0.6000000000000001,"tick":2,"vnf":1,"slot":0,"migrated":4,"shed":1}"#,
+                "InstanceDown,0.600000,2,,vnf1,0,,,migrated=4 shed=1",
+            ),
+            (
+                r#"{"event":"InstanceUp","seq":7,"time":0.7000000000000001,"tick":2,"vnf":1,"slot":0}"#,
+                "InstanceUp,0.700000,2,,vnf1,0,,,",
+            ),
+            (
+                r#"{"event":"NodeDown","seq":8,"time":0.8,"tick":2,"node":2,"vnfs_lost":3,"shed":11}"#,
+                "NodeDown,0.800000,2,,,,node2,,vnfs_lost=3 shed=11",
+            ),
+            (
+                r#"{"event":"NodeUp","seq":9,"time":0.9,"tick":3,"node":2,"vnfs_restored":2}"#,
+                "NodeUp,0.900000,3,,,,node2,,vnfs_restored=2",
+            ),
+            (
+                r#"{"event":"EmergencyReplace","seq":10,"time":1,"tick":3,"node":2,"instances_added":2,"relocations":1}"#,
+                "EmergencyReplace,1.000000,3,,,,node2,,added=2 relocated=1",
+            ),
+            (
+                r#"{"event":"ReoptCommit","seq":11,"time":1.1,"tick":3,"phase":"scheduling","migrations":5,"instances_added":0,"instances_retired":0,"relocations":0,"predicted_gain":0.125,"realized_gain":0.125}"#,
+                "ReoptCommit,1.100000,3,,,,,scheduling,migrations=5 added=0 retired=0 relocated=0 predicted=0.125000 realized=0.125000",
+            ),
+            (
+                r#"{"event":"ReoptRejected","seq":12,"time":1.2000000000000002,"tick":4,"phase":"replacement","cause":"hysteresis","predicted_gain":-0.5,"required_gain":0.01}"#,
+                "ReoptRejected,1.200000,4,,,,,replacement:hysteresis,predicted=-0.500000 required=0.010000",
+            ),
+            (
+                r#"{"event":"ReoptCommit","seq":13,"time":1.3,"tick":4,"phase":"refiner","migrations":0,"instances_added":0,"instances_retired":0,"relocations":3,"predicted_gain":0.04,"realized_gain":0.04}"#,
+                "ReoptCommit,1.300000,4,,,,,refiner,migrations=0 added=0 retired=0 relocated=3 predicted=0.040000 realized=0.040000",
+            ),
+            (
+                r#"{"event":"ReoptRejected","seq":14,"time":1.4000000000000001,"tick":4,"phase":"refiner","cause":"min-gain","predicted_gain":0.002,"required_gain":0.01}"#,
+                "ReoptRejected,1.400000,4,,,,,refiner:min-gain,predicted=0.002000 required=0.010000",
+            ),
+            (
+                r#"{"event":"CheckpointTaken","seq":15,"time":1.5,"tick":5,"shard":1,"tenants":4}"#,
+                "CheckpointTaken,1.500000,5,,,,,,shard=1 tenants=4",
+            ),
+            (
+                r#"{"event":"FaultInjected","seq":16,"time":1.6,"tick":5,"cause":"shard-panic","shard":1,"tenant":3}"#,
+                "FaultInjected,1.600000,5,,,,,shard-panic,shard=1 tenant=3",
+            ),
+            (
+                r#"{"event":"ShardRestored","seq":17,"time":1.7000000000000002,"tick":5,"shard":1,"replayed":17}"#,
+                "ShardRestored,1.700000,5,,,,,,shard=1 replayed=17",
+            ),
+            (
+                r#"{"event":"TenantQuarantined","seq":18,"time":1.8,"tick":6,"tenant":3,"cause":"corrupt-checkpoint"}"#,
+                "TenantQuarantined,1.800000,6,,,,,corrupt-checkpoint,tenant=3",
+            ),
+            (
+                r#"{"event":"ReoptRejected","seq":19,"time":1.9000000000000001,"tick":6,"phase":"scheduling","cause":"hysteresis","predicted_gain":"-inf","required_gain":0.01}"#,
+                "ReoptRejected,1.900000,6,,,,,scheduling:hysteresis,predicted=-inf required=0.010000",
+            ),
+        ];
+        let samples = samples();
+        assert_eq!(samples.len(), pinned.len());
+        for (event, (line, row)) in samples.iter().zip(pinned) {
+            assert_eq!(event.to_json(), line);
+            assert_eq!(event.to_csv_row(), row);
+        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Deterministic observability for the online NFV control plane.
 //!
-//! Three layers, all strict observers of the controller:
+//! Four layers, all strict observers of the controller:
 //!
 //! - a structured **event journal** ([`TraceEvent`]/[`EventKind`]):
-//!   typed admit/reject/shed/retry/outage/re-optimization records
-//!   written to pluggable [`EventSink`]s — a bounded in-memory
-//!   [`RingSink`], a [`JsonlSink`] (one JSON object per line), and a
-//!   [`CsvSink`] in the fixed-column per-event trace shape;
+//!   typed admit/reject/shed/retry/outage/re-optimization records,
+//!   each kind declared once, kept in a bounded in-memory [`Ring`] and
+//!   written out from the finished session as a JSONL file
+//!   ([`jsonl_journal`]/[`parse_jsonl_journal`]) or in the fixed-column
+//!   per-event CSV trace shape ([`csv_journal`]/[`csv_journal_rows`]);
 //! - **timing spans** ([`Phase`]/[`PhaseProfile`]): wall-clock durations
-//!   of the hot phases (BFDSU delta-placement, RCKK planning, the
-//!   hysteresis probe, retry drain, emergency re-placement) aggregated
-//!   into `nfv-metrics` summaries;
+//!   of the six hot phases (BFDSU delta-placement, RCKK planning, the
+//!   hysteresis probe, retry drain, emergency re-placement and one
+//!   search generation) aggregated into `nfv-metrics` summaries;
 //! - a **per-tick time-series** ([`TickSample`]/[`TickSeries`]): ρ,
 //!   balanced latency, retry backlog and nodes-in-service snapshots with
 //!   bounded memory and in-order cross-worker merging;
@@ -78,7 +79,7 @@ pub use registry::{Registry, RegistryError};
 pub use ring::Ring;
 pub use series::{TickSample, TickSeries, SERIES_CSV_HEADER};
 pub use sink::{
-    csv_journal_rows, parse_jsonl_journal, CsvSink, EventSink, JournalError, JsonlSink, RingSink,
+    csv_journal, csv_journal_rows, jsonl_journal, parse_jsonl_journal, JournalError,
     JOURNAL_SCHEMA_VERSION,
 };
 pub use span::{Phase, PhaseProfile, SpanToken, Stopwatch};
@@ -140,22 +141,19 @@ impl TelemetryArtifacts {
         all
     }
 
-    /// The journal as JSONL (one event per line).
+    /// The journal as JSONL (one event per line, no header; see
+    /// [`jsonl_journal`] for the file form).
     #[must_use]
     pub fn journal_jsonl(&self) -> String {
         let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
+        sink::push_lines(&mut out, &self.events, TraceEvent::to_json);
         out
     }
 }
 
 struct Inner {
     seq: u64,
-    ring: RingSink,
-    extra: Vec<Box<dyn EventSink>>,
+    ring: Ring<TraceEvent>,
     profile: PhaseProfile,
     series: TickSeries,
     /// Where [`Telemetry::rewind`] returns to.
@@ -205,8 +203,7 @@ impl Telemetry {
         let mut tel = Self {
             inner: Some(Box::new(Inner {
                 seq: 0,
-                ring: RingSink::new(max_events),
-                extra: Vec::new(),
+                ring: Ring::new(max_events),
                 profile: PhaseProfile::new(),
                 series: TickSeries::new(max_samples),
                 mark: Mark::default(),
@@ -220,14 +217,6 @@ impl Telemetry {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Attaches an additional sink (JSONL/CSV writers); a no-op on a
-    /// disabled session.
-    pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.extra.push(sink);
-        }
     }
 
     /// Emits one journal record at virtual time `time` during tick
@@ -244,10 +233,7 @@ impl Telemetry {
             kind: kind(),
         };
         inner.seq += 1;
-        for sink in &mut inner.extra {
-            sink.record(&event);
-        }
-        inner.ring.record(&event);
+        inner.ring.push(event);
     }
 
     /// Opens a timing span (reads the clock only when enabled).
@@ -289,8 +275,7 @@ impl Telemetry {
     /// Rewinds the journal, tick series, phase profile and sequence
     /// counter exactly to the latest [`mark`], items the bounded rings
     /// evicted since included, so replaying the same calls reproduces the
-    /// session bit for bit. The mark stays for further rewinds. Extra
-    /// sinks are streaming side-channels and are not rewound.
+    /// session bit for bit. The mark stays for further rewinds.
     ///
     /// [`mark`]: Telemetry::mark
     pub fn rewind(&mut self) {
@@ -315,16 +300,13 @@ impl Telemetry {
         })
     }
 
-    /// Closes the session: flushes the extra sinks and returns the
-    /// collected artifacts (empty for a disabled session).
+    /// Closes the session and returns the collected artifacts (empty
+    /// for a disabled session).
     #[must_use]
     pub fn finish(self) -> TelemetryArtifacts {
-        let Some(mut inner) = self.inner else {
+        let Some(inner) = self.inner else {
             return TelemetryArtifacts::default();
         };
-        for sink in &mut inner.extra {
-            sink.flush();
-        }
         TelemetryArtifacts {
             dropped_events: inner.ring.dropped(),
             events: inner.ring.into_events(),
@@ -342,7 +324,6 @@ impl std::fmt::Debug for Telemetry {
                 .debug_struct("Telemetry")
                 .field("events", &inner.ring.len())
                 .field("dropped", &inner.ring.dropped())
-                .field("extra_sinks", &inner.extra.len())
                 .field("spans", &inner.profile.total_spans())
                 .field("samples", &inner.series.len())
                 .finish(),
@@ -363,7 +344,6 @@ mod tests {
         tel.sample_tick(|| panic!("sample closure ran on the disabled path"));
         let token = tel.begin();
         tel.end(Phase::RckkPlan, token);
-        tel.add_sink(Box::new(RingSink::new(4)));
         let artifacts = tel.finish();
         assert_eq!(artifacts, TelemetryArtifacts::default());
     }
@@ -397,18 +377,6 @@ mod tests {
             TraceEvent::from_json(jsonl.lines().next().unwrap()).unwrap(),
             artifacts.events[0]
         );
-    }
-
-    #[test]
-    fn extra_sinks_observe_every_event() {
-        let mut tel = Telemetry::enabled();
-        tel.add_sink(Box::new(JsonlSink::new(Vec::new())));
-        tel.emit(1.0, 0, || EventKind::Admit {
-            request: RequestId::new(1),
-            hops: 1,
-        });
-        let artifacts = tel.finish();
-        assert_eq!(artifacts.events.len(), 1);
     }
 
     #[test]

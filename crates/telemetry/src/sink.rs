@@ -1,6 +1,5 @@
-//! Pluggable journal sinks.
-
-use std::io::Write;
+//! Where the journal goes: the in-memory ring that retains it, and the
+//! two journal file formats, each a writer/reader pair.
 
 use crate::event::{TraceEvent, CSV_HEADER};
 use crate::json::{parse_object, Fields, JsonObject};
@@ -45,7 +44,7 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// Parses a [`JsonlSink`]-written journal back into its events,
+/// Parses a [`jsonl_journal`] file back into its events,
 /// verifying the schema-version header first.
 ///
 /// # Errors
@@ -74,7 +73,7 @@ pub fn parse_jsonl_journal(text: &str) -> Result<Vec<TraceEvent>, JournalError> 
         .collect()
 }
 
-/// Validates a [`CsvSink`]-written journal's schema-version line and
+/// Validates a [`csv_journal`] file's schema-version line and
 /// column header, returning the data rows.
 ///
 /// # Errors
@@ -101,22 +100,36 @@ pub fn csv_journal_rows(text: &str) -> Result<Vec<&str>, JournalError> {
     }
 }
 
-/// Receives journal records as they are emitted.
-///
-/// Sinks are observers: they must not influence the controller (no
-/// panics on full buffers, no blocking on virtual time). I/O errors are
-/// swallowed after the first failure — a broken pipe must not abort a
-/// deterministic run.
-pub trait EventSink: Send {
-    /// Records one event.
-    fn record(&mut self, event: &TraceEvent);
-    /// Flushes any buffered output (end of run).
-    fn flush(&mut self) {}
+/// Renders a JSONL journal file: a `{"schema_version":N}` header line,
+/// then one [`TraceEvent::to_json`] line per event — the text
+/// [`parse_jsonl_journal`] reads back.
+#[must_use]
+pub fn jsonl_journal(events: &[TraceEvent]) -> String {
+    let mut header = JsonObject::new();
+    header.field_u64("schema_version", u64::from(JOURNAL_SCHEMA_VERSION));
+    let mut out = header.finish();
+    out.push('\n');
+    push_lines(&mut out, events, TraceEvent::to_json);
+    out
 }
 
-/// A bounded in-memory journal ring: keeps the most recent `capacity`
-/// events and counts the ones that fell off the front.
-pub type RingSink = Ring<TraceEvent>;
+/// Renders a CSV journal file: a `# schema_version=N` comment line,
+/// [`CSV_HEADER`], then one [`TraceEvent::to_csv_row`] row per event —
+/// the text [`csv_journal_rows`] reads back.
+#[must_use]
+pub fn csv_journal(events: &[TraceEvent]) -> String {
+    let mut out = format!("# schema_version={JOURNAL_SCHEMA_VERSION}\n{CSV_HEADER}\n");
+    push_lines(&mut out, events, TraceEvent::to_csv_row);
+    out
+}
+
+/// Appends one newline-terminated line per event.
+pub(crate) fn push_lines(out: &mut String, events: &[TraceEvent], line: fn(&TraceEvent) -> String) {
+    for event in events {
+        out.push_str(&line(event));
+        out.push('\n');
+    }
+}
 
 impl Ring<TraceEvent> {
     /// The retained events, oldest first.
@@ -128,127 +141,6 @@ impl Ring<TraceEvent> {
     #[must_use]
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.items.into()
-    }
-}
-
-impl Default for RingSink {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
-impl EventSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.push(event.clone());
-    }
-}
-
-/// The plumbing both file sinks share: a header written once before the
-/// first line, then one line per event. The first I/O error is latched
-/// and every later write skipped, so output is truncated, never torn
-/// mid-line.
-#[derive(Debug)]
-struct LineWriter<W> {
-    writer: W,
-    header: Option<String>,
-    failed: bool,
-}
-
-impl<W: Write> LineWriter<W> {
-    fn new(writer: W, header: String) -> Self {
-        Self {
-            writer,
-            header: Some(header),
-            failed: false,
-        }
-    }
-
-    fn write_line(&mut self, line: impl FnOnce() -> String) {
-        if let Some(header) = self.header.take() {
-            self.failed = self.writer.write_all(header.as_bytes()).is_err();
-        }
-        if !self.failed {
-            let mut line = line();
-            line.push('\n');
-            self.failed = self.writer.write_all(line.as_bytes()).is_err();
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.failed {
-            self.failed = self.writer.flush().is_err();
-        }
-    }
-}
-
-/// Writes a `{"schema_version":N}` header line, then each event as one
-/// JSON line (`TraceEvent::to_json`).
-#[derive(Debug)]
-pub struct JsonlSink<W: Write + Send>(LineWriter<W>);
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer; the schema-version header is emitted before the
-    /// first event.
-    pub fn new(writer: W) -> Self {
-        let mut header = JsonObject::new();
-        header.field_u64("schema_version", u64::from(JOURNAL_SCHEMA_VERSION));
-        Self(LineWriter::new(writer, format!("{}\n", header.finish())))
-    }
-
-    /// Whether any write failed (output is then truncated, never torn
-    /// mid-line).
-    #[must_use]
-    pub fn failed(&self) -> bool {
-        self.0.failed
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.0.writer
-    }
-}
-
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        self.0.write_line(|| event.to_json());
-    }
-
-    fn flush(&mut self) {
-        self.0.flush();
-    }
-}
-
-/// Writes the fixed-column CSV trace shape: a `# schema_version=N`
-/// comment line and `CSV_HEADER` once, then one row per event.
-#[derive(Debug)]
-pub struct CsvSink<W: Write + Send>(LineWriter<W>);
-
-impl<W: Write + Send> CsvSink<W> {
-    /// Wraps a writer; the header is emitted before the first row.
-    pub fn new(writer: W) -> Self {
-        let header = format!("# schema_version={JOURNAL_SCHEMA_VERSION}\n{CSV_HEADER}\n");
-        Self(LineWriter::new(writer, header))
-    }
-
-    /// Whether any write failed.
-    #[must_use]
-    pub fn failed(&self) -> bool {
-        self.0.failed
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.0.writer
-    }
-}
-
-impl<W: Write + Send> EventSink for CsvSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        self.0.write_line(|| event.to_csv_row());
-    }
-
-    fn flush(&mut self) {
-        self.0.flush();
     }
 }
 
@@ -272,9 +164,9 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_most_recent_and_counts_drops() {
-        let mut ring = RingSink::new(3);
+        let mut ring = Ring::new(3);
         for i in 0..5 {
-            ring.record(&event(i));
+            ring.push(event(i));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
@@ -285,20 +177,15 @@ mod tests {
 
     #[test]
     fn zero_capacity_ring_drops_everything() {
-        let mut ring = RingSink::new(0);
-        ring.record(&event(0));
+        let mut ring = Ring::new(0);
+        ring.push(event(0));
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 1);
     }
 
     #[test]
     fn jsonl_sink_writes_version_header_then_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&event(0));
-        sink.record(&event(1));
-        sink.flush();
-        assert!(!sink.failed());
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = jsonl_journal(&[event(0), event(1)]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "{\"schema_version\":1}");
@@ -307,35 +194,29 @@ mod tests {
 
     #[test]
     fn csv_sink_writes_version_and_header_once() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.record(&event(0));
-        sink.record(&event(1));
-        sink.flush();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = csv_journal(&[event(0), event(1)]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], "# schema_version=1");
         assert_eq!(lines[1], CSV_HEADER);
         assert!(lines[2].starts_with("Admit,"));
+        // An empty journal is still a whole file: header, no rows.
+        assert_eq!(csv_journal_rows(&csv_journal(&[])), Ok(Vec::new()));
     }
 
     #[test]
     fn jsonl_journal_round_trips_through_the_parser() {
-        let mut sink = JsonlSink::new(Vec::new());
-        for i in 0..4 {
-            sink.record(&event(i));
-        }
-        sink.flush();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let events = parse_jsonl_journal(&text).unwrap();
-        assert_eq!(events, (0..4).map(event).collect::<Vec<_>>());
+        let events: Vec<TraceEvent> = (0..4).map(event).collect();
+        assert_eq!(
+            parse_jsonl_journal(&jsonl_journal(&events)).unwrap(),
+            events
+        );
+        assert_eq!(parse_jsonl_journal(&jsonl_journal(&[])), Ok(Vec::new()));
     }
 
     #[test]
     fn parsers_reject_bumped_schema_versions() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&event(0));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = jsonl_journal(&[event(0)]);
         let bumped = text.replace(
             "{\"schema_version\":1}",
             &format!("{{\"schema_version\":{}}}", JOURNAL_SCHEMA_VERSION + 1),
@@ -347,9 +228,7 @@ mod tests {
                 expected: JOURNAL_SCHEMA_VERSION,
             })
         );
-        let mut sink = CsvSink::new(Vec::new());
-        sink.record(&event(0));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = csv_journal(&[event(0)]);
         let rows = csv_journal_rows(&text).unwrap();
         assert_eq!(rows.len(), 1);
         let bumped = text.replace("# schema_version=1", "# schema_version=2");
@@ -378,32 +257,5 @@ mod tests {
             csv_journal_rows("# schema_version=1\nWrong,Header\n"),
             Err(JournalError::Malformed { line: 2 })
         );
-    }
-
-    /// A writer that fails after `ok` bytes, to exercise the error latch.
-    struct Flaky {
-        ok: usize,
-    }
-    impl Write for Flaky {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.ok >= buf.len() {
-                self.ok -= buf.len();
-                Ok(buf.len())
-            } else {
-                Err(std::io::Error::other("full"))
-            }
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn io_errors_latch_instead_of_panicking() {
-        let mut sink = JsonlSink::new(Flaky { ok: 80 });
-        for i in 0..10 {
-            sink.record(&event(i));
-        }
-        assert!(sink.failed());
     }
 }
